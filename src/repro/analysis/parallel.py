@@ -17,7 +17,16 @@ construction:
   jobs and of shard scheduling.
 
 ``run_matrix(tasks, jobs=N)`` therefore returns *the same list* for any
-``N``; the determinism regression tests pin this.  Fan-out runs under
+``N``; the determinism regression tests pin this.
+
+Record once, replay many: a trial's event stream depends only on
+:func:`stream_key` — (workload, seed, scale) — never on the detector or
+the rate, which reach only the sampling controller.  Each process keeps
+the :class:`~repro.sim.scheduler.Recording` of the last stream it ran
+(one slot, so a worker holds at most one recording) and replays it for
+every trial of that stream; trials are walked grouped by stream, and
+the supervisor dispatches with stream affinity, so a sweep simulates
+each stream about once.  Fan-out runs under
 the crash-isolated supervisor (:mod:`repro.analysis.supervisor`), which
 adds per-trial timeouts, bounded retries, and poison-task quarantine on
 top of the same determinism contract; checkpoint/resume journaling
@@ -48,12 +57,14 @@ from ..detectors import (
 )
 from ..detectors.base import Race
 from ..sim.runtime import Runtime, RuntimeConfig
+from ..sim.scheduler import Recording, record
 from ..sim.workloads.base import WORKLOADS, build_program
 
 __all__ = [
     "TrialTask",
     "DETECTOR_FACTORIES",
     "task_seed",
+    "stream_key",
     "expand_matrix",
     "run_trial_task",
     "trial_metrics",
@@ -120,16 +131,45 @@ def expand_matrix(
     detector; for always-on detectors the rate axis collapses to one
     trial (rate ``None``) instead of duplicating identical runs.
     """
+    workloads, detectors, rates, seeds = (
+        list(workloads), list(detectors), list(rates), list(seeds)
+    )
     tasks: List[TrialTask] = []
     for workload in workloads:
         for detector in detectors:
-            det_rates = list(rates) if detector == "pacer" else [None]
+            det_rates = rates if detector == "pacer" else [None]
             for rate in det_rates:
                 for seed in seeds:
                     tasks.append(
                         TrialTask(workload, detector, rate, seed, scale, backend)
                     )
     return tasks
+
+
+def stream_key(task: TrialTask) -> Tuple[str, int, float]:
+    """The event stream a trial replays: all the scheduler depends on."""
+    return (task.workload, task.seed, task.scale)
+
+
+#: this process's one held recording, as ``(stream_key, Recording)``
+_held: Optional[Tuple[Tuple[str, int, float], Recording]] = None
+
+
+def _recording_for(task: TrialTask) -> Recording:
+    """The task's stream, simulated only if it is not the one held."""
+    global _held
+    key = stream_key(task)
+    if _held is None or _held[0] != key:
+        _held = None  # drop the old recording before simulating the new one
+        spec = WORKLOADS[task.workload].scaled(task.scale)
+        program = build_program(spec, trial_seed=task.seed)
+        _held = (key, record(program, task.seed))
+    return _held[1]
+
+
+def _release_recording() -> None:
+    global _held
+    _held = None
 
 
 def _race_sig(race: Race) -> Tuple:
@@ -151,11 +191,12 @@ def run_trial_task(task: TrialTask) -> CoreStats:
 
     Pure function of the task: no module-level RNG, no environment
     dependence, so it yields identical results in-process and in any
-    worker process.
+    worker process.  The event stream comes from this process's held
+    recording; a trial that has to simulate it counts that simulation
+    in its ``perf.elapsed_ns``.
     """
     import random
 
-    spec = WORKLOADS[task.workload].scaled(task.scale)
     factory = DETECTOR_FACTORIES[task.detector]
     detector = factory(backend=task.backend)
     controller = None
@@ -165,14 +206,14 @@ def run_trial_task(task: TrialTask) -> CoreStats:
         controller = BiasCorrectedController(
             task.rate, rng=random.Random(task_seed(task))
         )
+    start = time.perf_counter_ns()
     runtime = Runtime(
-        build_program(spec, trial_seed=task.seed),
+        _recording_for(task),
         detector,
         controller=controller,
         config=RuntimeConfig(track_memory=False),
         seed=task.seed,
     )
-    start = time.perf_counter_ns()
     runtime.run()
     elapsed = time.perf_counter_ns() - start
     perf = PerfCounters(events=runtime.events, elapsed_ns=elapsed)
@@ -223,12 +264,6 @@ def trial_metrics(runtime: Runtime, detector: Detector) -> Dict[str, int]:
         "live_vars_final": detector.tracked_variables,
         "max_clock_entries": detector.max_clock_entries(),
     }
-
-
-def _run_shard(shard: List[Tuple[int, TrialTask]]) -> List[Tuple[int, CoreStats]]:
-    """Run one indexed shard in-process (kept for API compatibility;
-    the supervisor now dispatches trials individually)."""
-    return [(index, run_trial_task(task)) for index, task in shard]
 
 
 def default_jobs() -> int:
@@ -289,21 +324,29 @@ def run_matrix(
     dropped (workload, detector, rate, seed) — never a silent gap.
     Results are sewn back in task-index order, so the returned list is
     identical for any ``jobs`` value and any retry/completion schedule,
-    which the determinism tests assert.  ``shards_per_job`` is accepted
-    for backward compatibility; the supervisor schedules per trial, so
-    shard geometry no longer exists to matter.
+    which the determinism tests assert.  A sequential run walks the
+    trials grouped by stream, so each stream is simulated once.
+    ``shards_per_job`` is accepted for backward compatibility; the
+    supervisor schedules per trial, so shard geometry no longer exists
+    to matter.  The held recording is released on return.
     """
     del shards_per_job  # superseded by per-trial supervision
-    if jobs <= 1 or len(tasks) <= 1:
-        results: List[CoreStats] = [run_trial_task(task) for task in tasks]
-        return results
-    # local import: supervisor imports this module for TrialTask et al.
-    from .supervisor import SupervisorConfig, run_supervised
+    try:
+        if jobs <= 1 or len(tasks) <= 1:
+            results: List[Optional[CoreStats]] = [None] * len(tasks)
+            by_stream = sorted(range(len(tasks)), key=lambda i: stream_key(tasks[i]))
+            for index in by_stream:
+                results[index] = run_trial_task(tasks[index])
+            return results
+        # local import: supervisor imports this module for TrialTask et al.
+        from .supervisor import SupervisorConfig, run_supervised
 
-    outcome = run_supervised(
-        tasks,
-        SupervisorConfig(jobs=jobs, task_timeout=None, quarantine=False),
-    )
+        outcome = run_supervised(
+            tasks,
+            SupervisorConfig(jobs=jobs, task_timeout=None, quarantine=False),
+        )
+    finally:
+        _release_recording()
     require_complete(tasks, outcome.results)
     return [stats for stats in outcome.results if stats is not None]
 

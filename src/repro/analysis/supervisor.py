@@ -25,6 +25,11 @@ built for multi-hour §5 matrices:
 * **Result integrity** — every completed trial is checked against its
   task's identity (workload/detector/rate/seed); a corrupted result is
   treated as one more failure and retried, not merged.
+* **Stream affinity** — a worker keeps the recording of the last event
+  stream it ran (:func:`~repro.analysis.parallel.stream_key`), so an
+  idle worker takes the lowest-index ready task of the stream it holds;
+  failing that, of a stream no other worker holds; failing that, the
+  lowest-index ready task.  Dispatch order never changes a result.
 
 Because every trial is a pure function of its :class:`TrialTask`,
 retried and reordered completions reassemble — by task index — into the
@@ -41,7 +46,6 @@ quarantine report document (``repro/quarantine/v1``).
 
 from __future__ import annotations
 
-import heapq
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -51,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.stats import CoreStats
 from ..obs.metrics import MetricsRegistry
 from ..util.faults import FaultPlan, execute_fault
-from .parallel import TrialTask, run_trial_task, task_seed
+from .parallel import TrialTask, run_trial_task, stream_key, task_seed
 
 __all__ = [
     "QUARANTINE_SCHEMA",
@@ -305,6 +309,8 @@ class _Worker(PipeWorker):
         super().__init__(ctx, _worker_main, (plan,))
         #: (index, attempt, deadline) while a trial is in flight
         self.busy: Optional[Tuple[int, int, float]] = None
+        #: stream key of the last trial sent here (the recording it holds)
+        self.stream: Optional[Tuple] = None
 
     def dispatch(
         self, index: int, attempt: int, task: TrialTask, timeout: Optional[float]
@@ -312,6 +318,28 @@ class _Worker(PipeWorker):
         deadline = float("inf") if not timeout else time.monotonic() + timeout
         self.conn.send(("run", index, attempt, task))
         self.busy = (index, attempt, deadline)
+        self.stream = stream_key(task)
+
+
+def _affinity_pick(
+    pending: List[Tuple[float, int, int]],
+    tasks: Sequence[TrialTask],
+    now: float,
+    held: Optional[Tuple],
+    others: set,
+) -> Optional[int]:
+    """Position in ``pending`` of the ready task a worker holding stream
+    ``held`` takes next, given the streams ``others`` hold; None when no
+    task is ready."""
+    best = None
+    for pos, (ready_at, index, _) in enumerate(pending):
+        if ready_at > now:
+            continue
+        key = stream_key(tasks[index])
+        rank = (0 if key == held else 1 if key not in others else 2, index)
+        if best is None or rank < best[0]:
+            best = (rank, pos)
+    return None if best is None else best[1]
 
 
 def _identity_ok(task: TrialTask, stats: CoreStats) -> bool:
@@ -346,11 +374,10 @@ def run_supervised(
     failures: Dict[int, List[FailureRecord]] = {}
     quarantine: List[QuarantineRecord] = []
 
-    # (ready_time, index, attempt): a min-heap doubles as the backoff queue
+    # (ready_time, index, attempt); entries still backing off wait in place
     pending: List[Tuple[float, int, int]] = [
         (0.0, index, 1) for index in range(len(tasks)) if results[index] is None
     ]
-    heapq.heapify(pending)
     outcome = SupervisorOutcome(results, quarantine, registry)
     if not pending:
         return outcome
@@ -367,7 +394,7 @@ def run_supervised(
         if attempt < config.max_attempts:
             registry.counter("supervisor_retries_total").inc()
             delay = backoff_delay(attempt, config.backoff_base, config.backoff_cap)
-            heapq.heappush(pending, (time.monotonic() + delay, index, attempt + 1))
+            pending.append((time.monotonic() + delay, index, attempt + 1))
         else:
             registry.counter("supervisor_quarantined_total").inc()
             quarantine.append(
@@ -385,13 +412,15 @@ def run_supervised(
     try:
         while pending or any(w.busy is not None for w in workers):
             now = time.monotonic()
-            # hand ready tasks to idle workers
+            # hand ready tasks to idle workers, with stream affinity
             for slot, worker in enumerate(workers):
-                if worker.busy is not None or not pending:
+                if worker.busy is not None:
                     continue
-                if pending[0][0] > now:
-                    break  # head still backing off; nothing else is readier
-                _, index, attempt = heapq.heappop(pending)
+                others = {w.stream for w in workers if w is not worker}
+                pos = _affinity_pick(pending, tasks, now, worker.stream, others)
+                if pos is None:
+                    break  # nothing ready; the rest are backing off
+                _, index, attempt = pending.pop(pos)
                 try:
                     worker.dispatch(index, attempt, tasks[index], config.task_timeout)
                 except (BrokenPipeError, OSError):
@@ -400,12 +429,13 @@ def run_supervised(
                     registry.counter("supervisor_worker_restarts_total").inc()
                     worker.kill()
                     workers[slot] = _Worker(ctx, config.fault_plan)
-                    heapq.heappush(pending, (now, index, attempt))
+                    pending.append((now, index, attempt))
 
             busy = [w for w in workers if w.busy is not None]
             if not busy:
                 if pending:
-                    time.sleep(max(0.0, min(0.5, pending[0][0] - time.monotonic())))
+                    ready_at = min(entry[0] for entry in pending)
+                    time.sleep(max(0.0, min(0.5, ready_at - time.monotonic())))
                 continue
 
             # wake on the first completion, death, or deadline

@@ -28,12 +28,12 @@ from __future__ import annotations
 import statistics
 import time
 from functools import lru_cache
-from typing import Dict, List
+from typing import Dict
 
 from .core.backend import BACKENDS
 from .core.pacer import PacerDetector
 from .detectors import FastTrackDetector
-from .sim.scheduler import Scheduler
+from .sim.scheduler import record
 from .sim.workloads import WORKLOADS, build_program
 from .trace.batch import encode_batch
 
@@ -69,11 +69,7 @@ BENCH_WORKLOAD = "pseudojbb"
 def recorded_trace(name: str, trial_seed: int = 0, size: float = 0.7) -> tuple:
     """A fixed recorded trace of one workload (for replay timing)."""
     spec = WORKLOADS[name].scaled(size)
-    events: List = []
-    scheduler = Scheduler(build_program(spec, trial_seed), seed=trial_seed,
-                          sink=events.append)
-    scheduler.run()
-    return tuple(events)
+    return record(build_program(spec, trial_seed), trial_seed).events
 
 
 def marked_trace(name: str, rate: float, period: int = 400,

@@ -17,7 +17,7 @@ from .program import (
     Write,
 )
 from .runtime import MemorySnapshot, Runtime, RuntimeConfig
-from .scheduler import DeadlockError, Scheduler, run_program
+from .scheduler import DeadlockError, Recording, Scheduler, record, run_program
 
 __all__ = [
     "Program",
@@ -36,6 +36,8 @@ __all__ = [
     "Work",
     "Scheduler",
     "DeadlockError",
+    "Recording",
+    "record",
     "run_program",
     "Runtime",
     "RuntimeConfig",

@@ -18,18 +18,24 @@ operations.  :class:`Runtime` reproduces that whole mechanism:
   detector's live metadata (Figure 10's metric);
 * sync-op counts per period feed the controller and define the
   *effective sampling rate* (Table 1's metric).
+
+The runtime's input is a :class:`~repro.sim.scheduler.Recording`: the
+scheduler's events depend only on (program, seed), never on the
+detector or the sampling decisions, so one recording replays under
+every detector and rate with exactly the result of a live run.  Given a
+:class:`~repro.sim.program.Program`, the runtime records it first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from ..core.sampling import SamplingController
 from ..detectors.base import Detector
 from ..trace.events import ALLOC, Event, SBEGIN, SEND, SYNC_KINDS
 from .program import Program
-from .scheduler import Scheduler
+from .scheduler import Recording, record
 
 __all__ = ["RuntimeConfig", "MemorySnapshot", "Runtime"]
 
@@ -70,11 +76,12 @@ class MemorySnapshot:
 
 
 class Runtime:
-    """Runs a program under a detector with GC-driven sampling."""
+    """Runs a program, or replays its recording, under a detector with
+    GC-driven sampling."""
 
     def __init__(
         self,
-        program: Program,
+        program: Union[Program, Recording],
         detector: Detector,
         controller: Optional[SamplingController] = None,
         config: Optional[RuntimeConfig] = None,
@@ -87,12 +94,16 @@ class Runtime:
         self.config = config or RuntimeConfig()
         self.count_headers = count_headers
         #: optional :class:`repro.obs.RunObserver` — also attached to the
-        #: detector and scheduler so one observer sees the whole run
+        #: detector and fed the recording's scheduler hooks, so one
+        #: observer sees the whole run
         self.observer = observer
         if observer is not None:
             observer.attach(detector)
-        self._scheduler = Scheduler(
-            program, seed=seed, sink=self._on_event, observer=observer
+        self._program = program
+        self._seed = seed
+        #: the replayed run; recorded by :meth:`run` when given a program
+        self.recording: Optional[Recording] = (
+            program if isinstance(program, Recording) else None
         )
         self._sampling = False
         self._allocated = 0
@@ -177,12 +188,27 @@ class Runtime:
     # -- public API -----------------------------------------------------------
 
     def run(self) -> Detector:
-        """Execute the program to completion; returns the detector."""
+        """Replay the recording to completion, recording the program
+        first when given one; returns the detector."""
+        if self.recording is None:
+            self.recording = record(self._program, self._seed)
+        events = self.recording.events
         # Allow the controller to start us inside a sampling period.
         if self.controller is not None and self.controller.decide():
             self.detector.apply(Event(SBEGIN, -1, 0, 0))
             self._sampling = True
-        self._scheduler.run()
+        on_event = self._on_event
+        start = 0
+        if self.observer is not None:
+            # each scheduler hook fires where it fired live: after the
+            # events emitted before it, and after their GCs
+            for position, name, args in self.recording.hooks:
+                for event in events[start:position]:
+                    on_event(event)
+                start = position
+                getattr(self.observer, name)(*args)
+        for event in events[start:]:
+            on_event(event)
         if self.controller is not None:
             # close the books on the final period
             self.controller.on_work(self._sync_this_period, self._sampling)
@@ -206,19 +232,19 @@ class Runtime:
 
     @property
     def threads_started(self) -> int:
-        return self._scheduler.threads_started
+        return self.recording.threads_started
 
     @property
     def context_switches(self) -> int:
-        return self._scheduler.context_switches
+        return self.recording.context_switches
 
     @property
     def scheduler_steps(self) -> int:
-        return self._scheduler.steps
+        return self.recording.steps
 
     @property
     def max_live_threads(self) -> int:
-        return self._scheduler.max_live
+        return self.recording.max_live
 
     @property
     def events(self) -> int:

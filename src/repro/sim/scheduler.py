@@ -16,7 +16,10 @@ produces realistic access locality), and enforces blocking semantics:
   deadline (in scheduler steps) passes, and a notify can only ever be
   consumed by a thread still waiting — never by one that timed out.
 
-Determinism: a given (program, seed) pair always yields the same trace.
+Determinism: a given (program, seed) pair always yields the same trace,
+so one run can be kept as a :class:`Recording` — the events, the
+scheduler's totals and its observer hooks — and replayed under any
+number of detector configurations (see :class:`~repro.sim.runtime.Runtime`).
 Deadlock (no runnable thread while unfinished threads remain and no
 timed wait is pending) raises :class:`DeadlockError` rather than
 hanging.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Set
+from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from ..trace.events import (
     ACQUIRE,
@@ -63,7 +66,7 @@ from .program import (
     Write,
 )
 
-__all__ = ["Scheduler", "DeadlockError", "run_program"]
+__all__ = ["Scheduler", "DeadlockError", "Recording", "record", "run_program"]
 
 RUNNABLE = "runnable"
 BLOCKED_LOCK = "blocked-lock"
@@ -373,9 +376,72 @@ class Scheduler:
                 self._runnable_set.add(waiter_tid)
 
 
-def run_program(program: Program, seed: int = 0, **kwargs) -> Trace:
-    """Convenience: run a program and collect the full trace."""
+@dataclass(frozen=True)
+class Recording:
+    """One complete scheduler run, replayable without re-simulating.
+
+    ``hooks`` holds each scheduler observer call (``on_thread_span``,
+    ``on_clock_jump``, ``on_phase``) as ``(position, name, args)``, where
+    ``position`` is the number of events emitted before the hook fired.
+    Every field is immutable, so one recording can be replayed any
+    number of times.
+    """
+
+    events: Tuple[Event, ...]
+    threads_started: int
+    context_switches: int
+    steps: int
+    max_live: int
+    hooks: Tuple[Tuple[int, str, tuple], ...]
+
+    def replay_hooks(self, observer) -> None:
+        """Fire every recorded hook into ``observer``, in order."""
+        for _, name, args in self.hooks:
+            getattr(observer, name)(*args)
+
+
+class _HookLog:
+    """Scheduler observer that notes each hook with its event position."""
+
+    def __init__(self, events: List[Event]) -> None:
+        self._events = events
+        self.hooks: List[Tuple[int, str, tuple]] = []
+
+    def on_thread_span(self, *args: int) -> None:
+        self.hooks.append((len(self._events), "on_thread_span", args))
+
+    def on_clock_jump(self, *args: int) -> None:
+        self.hooks.append((len(self._events), "on_clock_jump", args))
+
+    def on_phase(self, *args) -> None:
+        self.hooks.append((len(self._events), "on_phase", args))
+
+
+def record(program: Program, seed: int = 0, **kwargs) -> Recording:
+    """Run a program to completion and keep everything a replay needs.
+
+    ``kwargs`` go to :class:`Scheduler` (``stickiness``, ``max_steps``,
+    ``work_hook``).
+    """
     events: List[Event] = []
-    scheduler = Scheduler(program, seed=seed, sink=events.append, **kwargs)
+    log = _HookLog(events)
+    scheduler = Scheduler(
+        program, seed=seed, sink=events.append, observer=log, **kwargs
+    )
     scheduler.run()
-    return Trace(events)
+    return Recording(
+        events=tuple(events),
+        threads_started=scheduler.threads_started,
+        context_switches=scheduler.context_switches,
+        steps=scheduler.steps,
+        max_live=scheduler.max_live,
+        hooks=tuple(log.hooks),
+    )
+
+
+def run_program(program: Program, seed: int = 0, observer=None, **kwargs) -> Trace:
+    """Convenience: run a program and collect the full trace."""
+    recording = record(program, seed, **kwargs)
+    if observer is not None:
+        recording.replay_hooks(observer)
+    return Trace(recording.events)
