@@ -28,7 +28,6 @@ from _common import marked_trace, print_banner
 from repro.analysis import render_table
 from repro.bench import (
     BATCH_CONFIGS,
-    PACKED_NP_SPEEDUP_TARGET,
     PACKED_SPEEDUP_TARGET,
     _best_rate,
     backend_comparison,
@@ -171,10 +170,9 @@ def smoke() -> int:
 
 # -- state-backend comparison ---------------------------------------------------
 #
-# PACKED_SPEEDUP_TARGET / PACKED_NP_SPEEDUP_TARGET and
-# ``backend_comparison`` are imported from repro.bench; the sharp ratios
-# are measured locally into BENCH_core.json (interleaved methodology),
-# CI re-runs direction-only (see state_gate).
+# PACKED_SPEEDUP_TARGET and ``backend_comparison`` are imported from
+# repro.bench; the sharp ratio is measured locally into BENCH_core.json
+# (interleaved methodology), CI re-runs direction-only (see state_gate).
 
 #: workload for the memory gate (the paper's largest space case)
 MEMORY_GATE_WORKLOAD = "eclipse"
@@ -196,28 +194,18 @@ def emit_json(path, size=0.7, repeats=3) -> int:
 
 
 def state_gate() -> int:
-    """CI gate for the arena backends: space parity and direction.
+    """CI gate for the packed backend: space parity and direction.
 
-    * memory: no arena backend's footprint may exceed the object
-      backend's on the eclipse workload (identical by construction; the
-      gate pins it);
-    * throughput: every arena backend's batched replay must beat object
-      batched replay on the layout-bound fasttrack config, measured
-      interleaved (direction only — CI boxes are too noisy for the
-      sharp 1.5x/5x targets, which BENCH_core.json documents from a
-      quiet machine).
-
-    ``packed-np`` participates exactly when numpy is importable; on a
-    numpy-less interpreter the gate covers object/packed and notes the
-    skip.
+    * memory: packed's footprint may not exceed the object backend's on
+      the eclipse workload (identical by construction; the gate pins it);
+    * throughput: packed batched replay must beat object batched replay
+      on the layout-bound fasttrack config, measured interleaved
+      (direction only — CI boxes are too noisy for the sharp 1.5x
+      target, which BENCH_core.json documents from a quiet machine).
     """
     events = marked_trace(MEMORY_GATE_WORKLOAD, 0.10, size=0.5)
     encoded = encode_batch(events)
-    arenas = [b for b in BACKENDS if b != "object"]
-    print_banner("Arena-backend state gate (eclipse footprint + direction)")
-    if "packed-np" not in BACKENDS:
-        print("note: packed-np unavailable (numpy not installed); "
-              "gating object/packed only")
+    print_banner("Packed-backend state gate (eclipse footprint + direction)")
     failures = []
     for label, factory in (
         ("fasttrack", FastTrackDetector),
@@ -230,20 +218,18 @@ def state_gate() -> int:
             footprints[backend] = det.footprint_words()
         print(f"{label}: " + ", ".join(
             f"{b}={footprints[b]:,} words" for b in BACKENDS))
-        for backend in arenas:
-            if footprints[backend] > footprints["object"]:
-                failures.append(f"{label} {backend} footprint")
-    for backend in arenas:
-        speedup, _ = interleaved_speedup(backend, size=0.5, rounds=3)
-        print(f"{backend} vs object batched replay (fasttrack, "
-              f"interleaved): {speedup:.2f}x")
-        if speedup <= 1.0:
-            failures.append(f"fasttrack {backend} batched throughput")
+        if footprints["packed"] > footprints["object"]:
+            failures.append(f"{label} packed footprint")
+    speedup, _ = interleaved_speedup("packed", size=0.5, rounds=3)
+    print(f"packed vs object batched replay (fasttrack, interleaved): "
+          f"{speedup:.2f}x")
+    if speedup <= 1.0:
+        failures.append("fasttrack packed batched throughput")
     if failures:
-        print(f"FAIL: arena backends regressed on {failures}")
+        print(f"FAIL: packed backend regressed on {failures}")
         return 1
-    print(f"OK: arena footprints <= object on eclipse; batched replay "
-          f"faster than object on fasttrack for {arenas}")
+    print("OK: packed footprint <= object on eclipse; batched replay "
+          "faster than object on fasttrack")
     return 0
 
 

@@ -2,8 +2,8 @@
 
 This is the engine behind ``repro bench`` and the importable half of
 ``benchmarks/bench_core_operations.py``: it records a fixed workload
-trace, replays it through each available state backend (``object``,
-``packed``, and — when numpy is installed — ``packed-np``), and writes
+trace, replays it through both state backends (``object`` and
+``packed``), and writes
 the machine-readable evidence file ``BENCH_core.json`` (each write also
 appends a timestamped line to ``BENCH_history.jsonl`` so regressions
 can be traced across runs).
@@ -40,7 +40,6 @@ from .trace.batch import encode_batch
 __all__ = [
     "BATCH_CONFIGS",
     "PACKED_SPEEDUP_TARGET",
-    "PACKED_NP_SPEEDUP_TARGET",
     "recorded_trace",
     "marked_trace",
     "backend_comparison",
@@ -54,12 +53,6 @@ __all__ = [
 #: the packed backend must beat the object backend's *batched* replay by
 #: this factor on the layout-bound (fasttrack) config.
 PACKED_SPEEDUP_TARGET = 1.5
-
-#: target for the vectorized packed-np backend on the same metric (the
-#: column-kernel design goal).  The measured interleaved ratio is
-#: recorded in BENCH_core.json either way; CI gates on direction only
-#: (shared boxes are too noisy for a sharp ratio assert).
-PACKED_NP_SPEEDUP_TARGET = 5.0
 
 #: workload the backend rows and the speedup gate replay
 BENCH_WORKLOAD = "pseudojbb"
@@ -168,8 +161,6 @@ def interleaved_speedup(contender: str, baseline: str = "object",
     label, factory, build = next(c for c in BATCH_CONFIGS if c[0] == config)
     events = build(size)
     encoded = encode_batch(events)
-    if contender == "packed-np" or baseline == "packed-np":
-        encoded.to_numpy_columns()  # cache columns outside the timed runs
 
     def run(backend):
         det = factory(backend=backend)
@@ -244,34 +235,15 @@ def emit_json(path, size=0.7, repeats=3, gate_size=1.0, gate_rounds=5) -> int:
     print_backend_rows(rows)
     packed_speedup, _ = interleaved_speedup(
         "packed", size=gate_size, rounds=gate_rounds)
-    gates = [{
+    gate = {
         "config": "fasttrack",
         "metric": "batched replay throughput, packed vs object backend "
                   "(interleaved median ratio)",
         "speedup": round(packed_speedup, 3),
         "target": PACKED_SPEEDUP_TARGET,
-    }]
+    }
     print(f"packed vs object batched replay (fasttrack): "
           f"{packed_speedup:.2f}x (target {PACKED_SPEEDUP_TARGET}x)")
-    if "packed-np" in BACKENDS:
-        np_speedup, n_events = interleaved_speedup(
-            "packed-np", size=gate_size, rounds=gate_rounds)
-        gates.append({
-            "config": "fasttrack",
-            "metric": "batched replay throughput, packed-np vs object "
-                      "backend (interleaved median ratio)",
-            "events": n_events,
-            "speedup": round(np_speedup, 3),
-            "target": PACKED_NP_SPEEDUP_TARGET,
-        })
-        print(f"packed-np vs object batched replay (fasttrack): "
-              f"{np_speedup:.2f}x (target {PACKED_NP_SPEEDUP_TARGET}x)")
-        if np_speedup < PACKED_NP_SPEEDUP_TARGET:
-            print(f"WARNING: below the {PACKED_NP_SPEEDUP_TARGET}x target "
-                  f"on this box")
-    else:
-        print("packed-np backend unavailable (numpy not installed); "
-              "skipping its gate")
     doc = {
         "bench": "core_operations",
         "workload": BENCH_WORKLOAD,
@@ -291,8 +263,8 @@ def emit_json(path, size=0.7, repeats=3, gate_size=1.0, gate_rounds=5) -> int:
             }
             for label, backend, n, s, b, fp in rows
         ],
-        "gate": gates[0],
-        "gates": gates,
+        "gate": gate,
+        "gates": [gate],
     }
     write_bench_json(path, doc)
     return 0

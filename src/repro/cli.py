@@ -84,7 +84,7 @@ from .analysis.supervisor import (
     run_supervised,
 )
 from .analysis.tables import render_table
-from .core.backend import BACKENDS, DEFAULT_BACKEND
+from .core.backend import BACKENDS, DEFAULT_BACKEND, resolve_backend
 from .core.pacer import PacerDetector
 from .core.sampling import BiasCorrectedController
 from .obs import (
@@ -328,8 +328,9 @@ def _add_obs_arguments(
 def _add_backend_argument(p) -> None:
     p.add_argument(
         "--state-backend", choices=BACKENDS, default=None,
-        help="detector state representation "
-        f"(default: $REPRO_STATE_BACKEND or '{DEFAULT_BACKEND}'); "
+        help="detector state representation: 'object' (paper-shaped "
+        "reference) or 'packed' (fast engine; default: "
+        f"$REPRO_STATE_BACKEND or '{DEFAULT_BACKEND}'); "
         "both backends report identical races",
     )
 
@@ -1804,7 +1805,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (
+        hasattr(args, "state_backend") and args.state_backend is None
+        and args.func is not cmd_stream
+    ):
+        # no --state-backend: a bad $REPRO_STATE_BACKEND is a usage error
+        # wherever a detector is built here (``stream`` leaves the choice
+        # to the server, so the client's environment is never read)
+        try:
+            resolve_backend(None)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.func(args)
 
 

@@ -6,6 +6,9 @@ loops from the dispatch layer.  The packed backend folds them: one kernel
 per detector family drives both paths — the scalar handlers call it with
 a singleton event, the batch path with whole columns — so there is a
 single transcription of each algorithm over the packed representation.
+This is the one fast engine: ``packed`` is the default backend, and
+``object`` stays only as the paper-shaped reference it is checked
+against.
 
 Everything here works on :class:`~repro.core.backend.PackedVarStore`
 arrays: epochs are packed ints (:func:`~repro.core.clocks.pack_epoch`),
@@ -25,114 +28,10 @@ from .backend import READ_SHARED
 from .clocks import TID_BITS, TID_MASK, VectorClock
 
 __all__ = [
-    "fasttrack_access_packed",
     "fasttrack_kernel",
     "pacer_access_packed",
     "pacer_kernel",
 ]
-
-
-def fasttrack_access_packed(det, k, tid, var, site, index):
-    """One FASTTRACK access (Algorithm 7 if ``k == 0``, else 8) over a
-    packed arena — the exact scalar slow path behind the vectorized
-    ``packed-np`` column kernels and the packed-np scalar dispatch.
-
-    Works against any store with the packed-arena surface
-    (:class:`~repro.core.backend.PackedVarStore` or the NumPy variant).
-    Array scalars read from NumPy arenas are cast back to plain ints
-    before they can reach :class:`Race` records or inflated read maps,
-    so reports and state stay byte-identical with the list-based arena.
-    """
-    arena = det._arena
-    counters = det.counters
-    thread_clock = det._thread_clock
-    clock = thread_clock.get(tid)
-    if clock is None:
-        clock = VectorClock()
-        clock.increment(tid)
-        thread_clock[tid] = clock
-        counters.words_allocated += 2
-    c = clock._c
-    own = c[tid] if tid < len(c) else 0
-    packed_own = (own << TID_BITS) | tid
-    slot = arena.index.get(var)
-    if slot is None:
-        slot = arena.alloc(var)
-        counters.words_allocated += 2
-    wep, rep = arena.wep, arena.rep
-    rshared = arena.rshared
-    races_append = det.races.append
-    w = int(wep[slot])
-    if k == 0:  # rd (Algorithm 7)
-        counters.reads_slow_sampling += 1
-        r = int(rep[slot])
-        if r == packed_own:
-            return  # same read epoch: no action
-        if w:
-            wt = w & TID_MASK
-            wc = w >> TID_BITS
-            if wc > (c[wt] if wt < len(c) else 0):
-                races_append(
-                    Race(var, WRITE_READ, wt, wc, arena.wsite[slot],
-                         tid, site, index, int(arena.windex[slot]))
-                )
-        if r == 0:
-            rep[slot] = packed_own
-            arena.rsite[slot] = site
-            arena.rindex[slot] = index
-            counters.words_allocated += 2
-        elif r != READ_SHARED:
-            rt = r & TID_MASK
-            if (r >> TID_BITS) <= (c[rt] if rt < len(c) else 0):
-                rep[slot] = packed_own  # overwrite read epoch
-                arena.rsite[slot] = site
-                arena.rindex[slot] = index
-            else:
-                rshared[slot] = {
-                    rt: (r >> TID_BITS, arena.rsite[slot],
-                         int(arena.rindex[slot])),
-                    tid: (own, site, index),
-                }
-                rep[slot] = READ_SHARED
-                counters.words_allocated += 2
-        else:
-            rshared[slot][tid] = (own, site, index)
-            counters.words_allocated += 2
-    else:  # wr (Algorithm 8)
-        counters.writes_slow_sampling += 1
-        if w == packed_own:
-            return  # same write epoch: no action
-        if w:
-            wt = w & TID_MASK
-            wc = w >> TID_BITS
-            if wc > (c[wt] if wt < len(c) else 0):
-                races_append(
-                    Race(var, WRITE_WRITE, wt, wc, arena.wsite[slot],
-                         tid, site, index, int(arena.windex[slot]))
-                )
-        r = int(rep[slot])
-        if r:
-            if r != READ_SHARED:
-                rt = r & TID_MASK
-                rc = r >> TID_BITS
-                if rc > (c[rt] if rt < len(c) else 0):
-                    races_append(
-                        Race(var, READ_WRITE, rt, rc, arena.rsite[slot],
-                             tid, site, index, int(arena.rindex[slot]))
-                    )
-            else:
-                for u, (rc, rs, ri) in rshared[slot].items():
-                    if rc > (c[u] if u < len(c) else 0):
-                        races_append(
-                            Race(var, READ_WRITE, u, rc, rs,
-                                 tid, site, index, ri)
-                        )
-                del rshared[slot]
-            rep[slot] = 0  # modified FASTTRACK: clear read map
-        wep[slot] = packed_own
-        arena.wsite[slot] = site
-        arena.windex[slot] = index
-        counters.words_allocated += 2
 
 
 def fasttrack_kernel(det, kinds, tids, targets, sites, seen0):
@@ -336,10 +235,8 @@ def pacer_access_packed(det, k, tid, var, site, index):
     wep, rep = arena.wep, arena.rep
     rshared = arena.rshared
     races_append = det.races.append
-    # plain-int casts: NumPy arenas hand back array scalars, which must
-    # not leak into Race records or read maps (packed lists are no-ops)
-    w = int(wep[slot])
-    r = int(rep[slot])
+    w = wep[slot]
+    r = rep[slot]
     if k == 0:  # rd (Algorithm 12)
         if sampling and r == packed_own:
             return  # same read epoch: no action (exactly FASTTRACK)
@@ -349,7 +246,7 @@ def pacer_access_packed(det, k, tid, var, site, index):
             if wc > (c[wt] if wt < len(c) else 0):
                 races_append(
                     Race(var, WRITE_READ, wt, wc, arena.wsite[slot],
-                         tid, site, index, int(arena.windex[slot]))
+                         tid, site, index, arena.windex[slot])
                 )
         if sampling:
             if r == 0:
@@ -366,7 +263,7 @@ def pacer_access_packed(det, k, tid, var, site, index):
                 else:
                     rshared[slot] = {
                         rt: (r >> TID_BITS, arena.rsite[slot],
-                             int(arena.rindex[slot])),
+                             arena.rindex[slot]),
                         tid: (own, site, index),
                     }
                     rep[slot] = READ_SHARED
@@ -402,7 +299,7 @@ def pacer_access_packed(det, k, tid, var, site, index):
             if wc > (c[wt] if wt < len(c) else 0):
                 races_append(
                     Race(var, WRITE_WRITE, wt, wc, arena.wsite[slot],
-                         tid, site, index, int(arena.windex[slot]))
+                         tid, site, index, arena.windex[slot])
                 )
         if r:
             if r != READ_SHARED:
@@ -411,7 +308,7 @@ def pacer_access_packed(det, k, tid, var, site, index):
                 if rc > (c[rt] if rt < len(c) else 0):
                     races_append(
                         Race(var, READ_WRITE, rt, rc, arena.rsite[slot],
-                             tid, site, index, int(arena.rindex[slot]))
+                             tid, site, index, arena.rindex[slot])
                     )
             else:
                 for u, (rc, rs, ri) in rshared[slot].items():

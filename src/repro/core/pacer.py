@@ -23,6 +23,11 @@ semantics in Table 7) are listed in DESIGN.md under "errata".
 
 Feature flags (``use_versions``, ``use_sharing``, ``discard_metadata``)
 exist for the ablation benchmarks and default to the paper's behaviour.
+
+The ``packed`` backend (default) runs accesses through
+:func:`~repro.core.engine.pacer_access_packed` and batches through
+:func:`~repro.core.engine.pacer_kernel`; the ``object`` backend keeps
+the paper-shaped handlers and its own run-bulked batch loop.
 """
 
 from __future__ import annotations
@@ -70,20 +75,12 @@ class PacerDetector(Detector):
         self._thread: Dict[int, ThreadMeta] = {}
         self._lock: Dict[int, SyncMeta] = {}
         self._vol: Dict[int, SyncMeta] = {}
-        if self.backend_name == "packed-np":
-            from .backend_np import NumpyVarStore, pacer_kernel_np
-
-            self._arena = NumpyVarStore()
-            self._vars: Optional[Dict[int, VarState]] = None
-            self._np_kernel = pacer_kernel_np
-        elif self.backend_name == "packed":
+        if self.backend_name == "packed":
             self._arena: Optional[PackedVarStore] = PackedVarStore()
-            self._vars = None
-            self._np_kernel = None
+            self._vars: Optional[Dict[int, VarState]] = None
         else:
             self._arena = None
             self._vars = {}
-            self._np_kernel = None
 
     # -- metadata helpers ---------------------------------------------------
 
@@ -329,15 +326,6 @@ class PacerDetector(Detector):
             super().apply_batch(batch)
             return
         if self._arena is not None:
-            if self._np_kernel is not None:
-                kinds, tids, targets, sites_np, site_list = (
-                    batch.to_numpy_columns()
-                )
-                self._np_kernel(
-                    self, kinds, tids, targets, sites_np, site_list,
-                    self._events_seen,
-                )
-                return
             # packed backend: same run-bulking, one folded access kernel
             kinds, tids, targets, sites = batch.to_list_columns()
             pacer_kernel(

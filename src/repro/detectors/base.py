@@ -6,6 +6,10 @@ or :meth:`Detector.apply`, which dispatches a :class:`~repro.trace.events.Event`
 Detectors report races by appending :class:`Race` records and keep
 analyzing (real tools do not stop at the first race; the formal
 semantics' "stuck" state corresponds to the first report).
+
+Every detector resolves its state backend through
+:func:`~repro.core.backend.resolve_backend`: ``object`` (the
+paper-shaped reference) or ``packed`` (the default fast engine).
 """
 
 from __future__ import annotations

@@ -9,6 +9,10 @@ map when a write supersedes it ("New: clear read map" in Algorithm 8);
 this loses nothing — any future access racing with a cleared read also
 races with the superseding write — and aligns FASTTRACK's metadata
 lifecycle with PACER's.
+
+The ``packed`` backend runs both dispatch paths through
+:func:`~repro.core.engine.fasttrack_kernel`; the ``object`` backend
+keeps the paper-shaped handlers and an inlined batch loop.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Dict, Optional
 
 from ..core.backend import PackedVarStore
 from ..core.clocks import Epoch, ReadMap, VectorClock, epoch_leq_vc
-from ..core.engine import fasttrack_access_packed, fasttrack_kernel
+from ..core.engine import fasttrack_kernel
 from ..core.metadata import VarState, footprint_words
 from ..trace.batch import EventBatch
 from .base import Detector, Race, READ_WRITE, WRITE_READ, WRITE_WRITE
@@ -47,21 +51,12 @@ class FastTrackDetector(Detector):
         self._thread_clock: Dict[int, VectorClock] = {}
         self._lock_clock: Dict[int, VectorClock] = {}
         self._vol_clock: Dict[int, VectorClock] = {}
-        if self.backend_name == "packed-np":
-            from ..core.backend_np import NumpyVarStore, fasttrack_kernel_np
-
-            self._arena = NumpyVarStore()
-            self._vars: Optional[Dict[int, VarState]] = None
-            self._np_kernel = fasttrack_kernel_np
-            self._np_reforked: set = set()
-        elif self.backend_name == "packed":
+        if self.backend_name == "packed":
             self._arena: Optional[PackedVarStore] = PackedVarStore()
-            self._vars = None
-            self._np_kernel = None
+            self._vars: Optional[Dict[int, VarState]] = None
         else:
             self._arena = None
             self._vars = {}
-            self._np_kernel = None
 
     # -- metadata helpers -------------------------------------------------
 
@@ -109,14 +104,6 @@ class FastTrackDetector(Detector):
 
     def read(self, tid: int, var: int, site: int = 0) -> None:
         if self._arena is not None:
-            if self._np_kernel is not None:
-                # NumPy arena: the scalar transcription casts array
-                # scalars to plain ints so races/read maps stay clean
-                self._threads.add(tid)
-                fasttrack_access_packed(
-                    self, 0, tid, var, site, self._events_seen - 1
-                )
-                return
             fasttrack_kernel(
                 self, _RD, (tid,), (var,), (site,), self._events_seen - 1
             )
@@ -140,12 +127,6 @@ class FastTrackDetector(Detector):
 
     def write(self, tid: int, var: int, site: int = 0) -> None:
         if self._arena is not None:
-            if self._np_kernel is not None:
-                self._threads.add(tid)
-                fasttrack_access_packed(
-                    self, 1, tid, var, site, self._events_seen - 1
-                )
-                return
             fasttrack_kernel(
                 self, _WR, (tid,), (var,), (site,), self._events_seen - 1
             )
@@ -188,15 +169,6 @@ class FastTrackDetector(Detector):
             super().apply_batch(batch)
             return
         if self._arena is not None:
-            if self._np_kernel is not None:
-                kinds, tids, targets, sites_np, site_list = (
-                    batch.to_numpy_columns()
-                )
-                self._np_kernel(
-                    self, kinds, tids, targets, sites_np, site_list,
-                    self._events_seen,
-                )
-                return
             kinds, tids, targets, sites = batch.to_list_columns()
             fasttrack_kernel(
                 self, kinds, tids, targets, sites, self._events_seen,

@@ -211,6 +211,15 @@ class _Session:
         self.spool_bytes = 0
 
 
+def _check_backend(backend: Optional[str]) -> None:
+    """Refuse a state backend this server cannot build (``None`` = default)."""
+    if backend is not None and backend not in BACKENDS:
+        raise HandshakeError(
+            f"unknown state backend {backend!r} "
+            f"(choices: {', '.join(BACKENDS)})"
+        )
+
+
 def _read_spool(path: Path) -> List[List]:
     """Every spooled chunk of a session, in append order."""
     chunks: List[List] = []
@@ -269,6 +278,9 @@ class TelemetryServer:
         self._spool_bytes_total = 0
         #: sessions re-adopted from a previous server's manifest
         self.adopted_sessions = 0
+        #: index of the next new session's spool file; start() seeds it
+        #: past every spool already in the directory
+        self._spool_seq = 0
         # prime the resilience series so scrapes and status documents
         # carry them from the first sample, not the first incident
         self.metrics.counter("net_shed_sessions")
@@ -299,6 +311,13 @@ class TelemetryServer:
         # every spooled session *before* the listener opens, so resuming
         # clients find their sessions durably re-applied
         self._adopt_manifest()
+        # number new spools past every file already here — adopted,
+        # skipped or orphaned — so no new session appends to another's
+        taken = [p.stem for p in self._spool_dir.glob("*.spool")]
+        taken += [s.spool_path.stem for s in self._sessions.values()]
+        self._spool_seq = 1 + max(
+            (int(stem) for stem in taken if stem.isdigit()), default=-1
+        )
         kind, target = parse_address(cfg.address)
         if kind == "tcp":
             host, port = target
@@ -511,6 +530,13 @@ class TelemetryServer:
             return
         doc = json.loads(path.read_text(encoding="utf-8"))
         for entry in doc.get("sessions", []):
+            try:
+                _check_backend(entry.get("backend"))
+            except HandshakeError as exc:
+                # e.g. a backend this build no longer has: skip the
+                # session (its spool stays on disk), adopt the rest
+                self._log(f"skipped session {entry['name']}: {exc}")
+                continue
             spool = self._spool_dir / entry["spool"]
             sess = _Session(
                 entry["name"], entry["detector"], entry.get("backend"),
@@ -831,11 +857,7 @@ class TelemetryServer:
                 f"unknown detector {hello.detector!r} "
                 f"(choices: {', '.join(sorted(DETECTOR_FACTORIES))})"
             )
-        if hello.backend is not None and hello.backend not in BACKENDS:
-            raise HandshakeError(
-                f"unknown state backend {hello.backend!r} "
-                f"(choices: {', '.join(BACKENDS)})"
-            )
+        _check_backend(hello.backend)
         with self._sessions_lock:
             sess = self._sessions.get(hello.session)
             if hello.resume:
@@ -870,7 +892,8 @@ class TelemetryServer:
                         f"({self._spool_bytes_total} >= {watermark} "
                         f"spooled byte(s))"
                     )
-                spool = self._spool_dir / f"{len(self._sessions):04d}.spool"
+                spool = self._spool_dir / f"{self._spool_seq:04d}.spool"
+                self._spool_seq += 1
                 self._trace_counter += 1
                 sess = _Session(
                     hello.session, hello.detector, hello.backend,

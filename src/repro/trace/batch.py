@@ -62,7 +62,7 @@ class EventBatch:
     scalar consumer accepts a batch wherever it accepts events.
     """
 
-    __slots__ = ("kinds", "tids", "targets", "sites", "_npcols")
+    __slots__ = ("kinds", "tids", "targets", "sites")
 
     def __init__(
         self,
@@ -77,7 +77,6 @@ class EventBatch:
         self.tids: List[int] = list(tids)
         self.targets: List[int] = list(targets)
         self.sites: List[int] = list(sites)
-        self._npcols = None
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> "EventBatch":
@@ -100,7 +99,6 @@ class EventBatch:
         batch.tids = list(tids)
         batch.targets = list(targets)
         batch.sites = list(sites)
-        batch._npcols = None
         return batch
 
     @classmethod
@@ -108,9 +106,8 @@ class EventBatch:
         """Wrap already-columnar data without copying.
 
         Unlike ``__init__``, the columns are stored as given — NumPy
-        arrays from the zero-copy binio reader flow straight through to
-        the vectorized kernels, while :meth:`to_list_columns` normalizes
-        them on demand for plain-int consumers.
+        arrays from the zero-copy binio reader stay arrays until
+        :meth:`to_list_columns` normalizes them on first use.
         """
         if not (len(kinds) == len(tids) == len(targets) == len(sites)):
             raise ValueError("batch columns must have equal length")
@@ -119,7 +116,6 @@ class EventBatch:
         batch.tids = tids
         batch.targets = targets
         batch.sites = sites
-        batch._npcols = None
         return batch
 
     def to_list_columns(self):
@@ -141,35 +137,6 @@ class EventBatch:
             self.sites = list(self.sites) if not hasattr(
                 self.sites, "tolist") else self.sites.tolist()
         return self.kinds, self.tids, self.targets, self.sites
-
-    def to_numpy_columns(self):
-        """Columns as arrays for the vectorized kernels (cached).
-
-        Returns ``(kinds, tids, targets, sites, site_list)`` where the
-        first four are ``uint8``/``int64`` NumPy arrays — except
-        ``sites``, which is ``None`` when the site column holds
-        non-integer :data:`~repro.detectors.base.SiteId` values (the
-        live frontend's ``file:line`` strings); ``site_list`` is the
-        original Python sequence in that case (and ``None`` otherwise),
-        so kernels always have exactly one site source.
-        """
-        cols = self._npcols
-        if cols is None:
-            import numpy as np
-
-            kinds = np.asarray(self.kinds, dtype=np.uint8)
-            tids = np.asarray(self.tids, dtype=np.int64)
-            targets = np.asarray(self.targets, dtype=np.int64)
-            try:
-                sites = np.asarray(self.sites, dtype=np.int64)
-                site_list = None
-            except (TypeError, ValueError, OverflowError):
-                sites = None
-                site_list = (self.sites if type(self.sites) is list
-                             else list(self.sites))
-            cols = (kinds, tids, targets, sites, site_list)
-            self._npcols = cols
-        return cols
 
     def __len__(self) -> int:
         return len(self.kinds)

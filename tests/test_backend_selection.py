@@ -1,25 +1,18 @@
-"""Backend-selection errors and availability gating.
+"""Backend-selection errors.
 
 ``resolve_backend`` is the single funnel every layer goes through —
 CLI flags, the ``REPRO_STATE_BACKEND`` environment variable, detector
 constructors, net handshakes.  These tests pin its error surface:
-
-* unknown names fail with a stable message naming the *available*
-  backends,
-* asking for ``packed-np`` on an interpreter without numpy fails with a
-  distinct message pointing at the ``[np]`` extra (not a generic
-  "unknown backend"),
-* ``BACKENDS`` reflects availability while ``ALL_BACKENDS`` stays the
-  full universe, so choice lists degrade gracefully.
+unknown names — including the retired ``packed-np`` — fail with a
+stable message naming both backends, and the CLI reports them as
+usage errors (exit 2), never as tracebacks.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.core.backend as backend_mod
 from repro.core.backend import (
-    ALL_BACKENDS,
     BACKENDS,
     DEFAULT_BACKEND,
     resolve_backend,
@@ -28,10 +21,8 @@ from repro.detectors import FastTrackDetector
 
 
 def test_backend_universe_is_consistent():
-    assert ALL_BACKENDS == ("object", "packed", "packed-np")
-    # BACKENDS is always an availability-ordered prefix of ALL_BACKENDS
-    assert BACKENDS in (ALL_BACKENDS, ALL_BACKENDS[:2])
-    assert DEFAULT_BACKEND in BACKENDS
+    assert BACKENDS == ("object", "packed")
+    assert DEFAULT_BACKEND == "packed"
 
 
 def test_resolve_explicit_and_default():
@@ -41,12 +32,13 @@ def test_resolve_explicit_and_default():
 
 
 def test_resolve_unknown_backend_names_choices():
-    with pytest.raises(ValueError) as exc:
-        resolve_backend("slab-of-wasps")
-    msg = str(exc.value)
-    assert "unknown state backend 'slab-of-wasps'" in msg
-    for name in BACKENDS:
-        assert name in msg
+    for bad in ("slab-of-wasps", "packed-np"):
+        with pytest.raises(ValueError) as exc:
+            resolve_backend(bad)
+        msg = str(exc.value)
+        assert f"unknown state backend {bad!r}" in msg
+        for name in BACKENDS:
+            assert name in msg
 
 
 def test_environment_variable_is_honored(monkeypatch):
@@ -59,48 +51,47 @@ def test_environment_variable_is_honored(monkeypatch):
     assert resolve_backend(None) == DEFAULT_BACKEND
 
 
-def test_environment_variable_unknown_value(monkeypatch):
+def test_environment_variable_unknown_value(monkeypatch, capsys):
+    from repro.cli import main
+
     monkeypatch.setenv("REPRO_STATE_BACKEND", "nope")
     with pytest.raises(ValueError, match="unknown state backend 'nope'"):
         resolve_backend(None)
+    # the CLI reports a bad environment value as a usage error
+    for bad in ("packed-np2", "packed-np"):
+        monkeypatch.setenv("REPRO_STATE_BACKEND", bad)
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "micro"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unknown state backend {bad!r}" in err
+        for name in BACKENDS:
+            assert name in err
+    # ``stream`` sends no backend and leaves the choice to the server, so
+    # the client's leftover environment value is never read there
+    import repro.cli as cli
 
-
-def test_packed_np_without_numpy_points_at_extra(monkeypatch):
-    """Simulate a numpy-less interpreter: ``packed-np`` must fail with
-    the install hint, not the generic unknown-name error."""
-    monkeypatch.setattr(backend_mod, "BACKENDS", ALL_BACKENDS[:2])
-    with pytest.raises(ValueError) as exc:
-        backend_mod.resolve_backend("packed-np")
-    msg = str(exc.value)
-    assert "requires numpy" in msg
-    assert "[np]" in msg
-    assert "'object', 'packed'" in msg
-    # a genuinely unknown name still gets the unknown-name error
-    with pytest.raises(ValueError, match="unknown state backend"):
-        backend_mod.resolve_backend("packed-np2")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_stream", lambda args: seen.append(args) or 0)
+    argv = ["stream", "t.pacr", "--address", "unix:///s", "--session", "s"]
+    assert main(argv) == 0
+    assert seen[0].state_backend is None
 
 
 def test_detector_constructor_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown state backend"):
-        FastTrackDetector(backend="bogus")
+    for bad in ("bogus", "packed-np"):
+        with pytest.raises(ValueError, match="unknown state backend"):
+            FastTrackDetector(backend=bad)
 
 
 def test_cli_rejects_unknown_backend(capsys):
     from repro.cli import main
 
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--workload", "micro", "--state-backend", "bogus"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--state-backend" in err
-    for name in BACKENDS:
-        assert name in err
-
-
-@pytest.mark.skipif(
-    "packed-np" not in BACKENDS, reason="numpy not installed"
-)
-def test_packed_np_resolves_when_numpy_present():
-    assert resolve_backend("packed-np") == "packed-np"
-    det = FastTrackDetector(backend="packed-np")
-    assert det.backend_name == "packed-np"
+    for bad in ("bogus", "packed-np"):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--workload", "micro", "--state-backend", bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--state-backend" in err
+        for name in BACKENDS:
+            assert name in err

@@ -20,7 +20,7 @@ import random
 import pytest
 
 from helpers import race_sigs
-from repro.core.backend import BACKENDS as AVAILABLE_BACKENDS
+from repro.core.backend import BACKENDS
 from repro.core.pacer import PacerDetector
 from repro.detectors import (
     EraserDetector,
@@ -151,19 +151,8 @@ BACKEND_DETECTORS = [
     ("literace", lambda backend: LiteRaceDetector(seed=99, backend=backend)),
 ]
 
-#: the non-reference (arena) backends, with ``packed-np`` skipped
-#: gracefully on interpreters without numpy
-ARENA_BACKENDS = [
-    pytest.param("packed", id="packed"),
-    pytest.param(
-        "packed-np",
-        id="packed-np",
-        marks=pytest.mark.skipif(
-            "packed-np" not in AVAILABLE_BACKENDS,
-            reason="numpy not installed; packed-np backend unavailable",
-        ),
-    ),
-]
+#: the non-reference (arena) backends
+ARENA_BACKENDS = ["packed"]
 
 
 @pytest.mark.parametrize("arena", ARENA_BACKENDS)
@@ -172,8 +161,8 @@ def test_arena_backends_agree_with_object(seed, arena):
     """Each arena backend is observationally identical to the reference
     object backend: same race reports (down to indices), same operation
     counters, same footprint words, same thread bookkeeping — on both
-    the scalar and the batched dispatch path, and (for ``packed-np``)
-    through the vectorized column kernels on pre-encoded batches."""
+    the scalar and the batched dispatch path, and on pre-encoded
+    batches."""
     name, build = GENERATORS[seed % len(GENERATORS)]
     plain = _trace_for(build, seed)
     marked = _with_sampling_periods(plain, seed)
@@ -211,7 +200,7 @@ def _footprint_curve(make, backend, events, stride=23):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_footprint_curves_identical_across_backends(seed):
     """The Figure-10 footprint curve — not just the final value — is
-    byte-equal across all available backends.  PACER's metadata discard
+    byte-equal across both backends.  PACER's metadata discard
     makes this sharp: released slots sit on the arena free list, and a
     backend that counted arena *capacity* instead of live entries would
     diverge from the object backend exactly after the first discard."""
@@ -219,7 +208,7 @@ def test_footprint_curves_identical_across_backends(seed):
     marked = _with_sampling_periods(_trace_for(build, seed), seed)
     for det_name, make in BACKEND_DETECTORS:
         ref = _footprint_curve(make, "object", marked)
-        for backend in AVAILABLE_BACKENDS[1:]:
+        for backend in BACKENDS[1:]:
             got = _footprint_curve(make, backend, marked)
             assert got == ref, f"{det_name}/{name}/seed{seed}/{backend}"
 

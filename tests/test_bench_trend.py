@@ -61,10 +61,18 @@ def test_valid_history_renders_and_exits_zero(tmp_path):
         }
         for i in (1, 2)
     ]
+    # a retired gate that only older rows carry still renders its trend
+    records[0]["gates"].append(
+        {"metric": "batched replay throughput, packed-np vs object "
+                   "backend (interleaved median ratio)",
+         "speedup": 2.38, "target": 5.0}
+    )
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     out = run(str(path))
     assert out.returncode == 0
     assert "speedup trend" in out.stdout
+    assert "speedup trend - packed-np vs object" in out.stdout
+    assert "speedup trend - packed vs object" in out.stdout
     as_json = run(str(path), "--json")
     assert as_json.returncode == 0
     assert "packed vs object" in json.loads(as_json.stdout) or json.loads(

@@ -46,6 +46,7 @@ from repro.net import (
 from repro.net.chaos import wire_plan
 from repro.net.protocol import (
     FrameDecoder,
+    HandshakeError,
     Hello,
     HelloAck,
     ProtocolError,
@@ -470,6 +471,92 @@ def test_drain_restart_resume_byte_identical(backend):
     assert canonical(sdoc["report"]) == canonical(off_doc)
     assert sdoc["counters"] == off_counters
     assert resilience["adopted_sessions"] == 1
+
+
+def test_restart_skips_manifest_session_with_unknown_backend():
+    """A manifest entry naming a backend this build cannot construct
+    (the retired ``packed-np``) is skipped, not fatal: the server
+    starts, the other session resumes byte-identical, the skipped
+    session's spool stays on disk, and resuming it is refused. A new
+    session opened after the skip gets a spool of its own, so another
+    drain/restart replays every session to its offline report."""
+    off_doc, off_counters = offline_report("fasttrack", "packed")
+    workdir = tempfile.mkdtemp(prefix="repro-net-")
+    spool = os.path.join(workdir, "spool")
+    address = f"unix://{workdir}/t.sock"
+    log_path = os.path.join(workdir, "server.log")
+    manifest = os.path.join(spool, "sessions.json")
+
+    def config():
+        return ServerConfig(
+            address=address, n_shards=2, shard_mode="inline",
+            spool_dir=spool, drain_timeout=2.0, log_path=log_path,
+        )
+
+    def read_manifest():
+        with open(manifest, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def start_half(name):
+        client = TelemetryClient(
+            address, name, detector="fasttrack", backend="packed",
+            chunk_size=37,
+        )
+        client.connect()
+        client.send_events(EVENTS[:half])
+        client.abort()
+        return client
+
+    server = TelemetryServer(config()).start()
+    half = len(EVENTS) // 2
+    clients = {name: start_half(name) for name in ("kept", "stale")}
+    assert server.drain()["drained"] == 2
+    server.stop()
+
+    doc = read_manifest()
+    stale = next(e for e in doc["sessions"] if e["name"] == "stale")
+    stale["backend"] = "packed-np"
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+    server2 = TelemetryServer(config()).start()
+    try:
+        assert server2.adopted_sessions == 1
+        assert os.path.exists(os.path.join(spool, stale["spool"]))
+        with pytest.raises(
+            HandshakeError, match="cannot resume unknown session 'stale'"
+        ):
+            clients["stale"].reconnect()
+        clients["fresh"] = start_half("fresh")
+        assert server2.drain()["drained"] == 2
+    finally:
+        server2.stop()
+
+    spools = {e["name"]: e["spool"] for e in read_manifest()["sessions"]}
+    assert sorted(spools) == ["fresh", "kept"]
+    assert spools["fresh"] not in {e["spool"] for e in doc["sessions"]}
+
+    server3 = TelemetryServer(config()).start()
+    try:
+        assert server3.adopted_sessions == 2
+        results = {}
+        for name in ("kept", "fresh"):
+            client = clients[name]
+            client.reconnect()
+            client.send_events(EVENTS[half:])
+            summary = client.close()
+            results[name] = (summary, server3.session_doc(name))
+    finally:
+        server3.stop()
+
+    for name, (summary, sdoc) in results.items():
+        assert summary["events"] == len(EVENTS), name
+        assert canonical(sdoc["report"]) == canonical(off_doc), name
+        assert sdoc["counters"] == off_counters, name
+    with open(log_path, encoding="utf-8") as fh:
+        log = fh.read()
+    assert "skipped session stale" in log
+    assert "'packed-np'" in log
 
 
 def test_drain_is_idempotent_and_observable():
