@@ -38,6 +38,8 @@ from repro.core.backend import BACKENDS
 from repro.core.clocks import Epoch, VectorClock, epoch_leq_vc
 from repro.core.pacer import PacerDetector
 from repro.detectors import FastTrackDetector
+from repro.obs import RunObserver
+from repro.obs.provenance import FlightRecorder
 from repro.trace.batch import encode_batch
 
 THREAD_COUNTS = [8, 64, 512]
@@ -303,15 +305,78 @@ def test_obs_disabled_overhead(benchmark):
         assert ratio >= OBS_GATE_RATIO, (label, ratio)
 
 
+# -- flight-recorder overhead -------------------------------------------------
+
+
+def recorder_overhead(size=0.5, rounds=5):
+    """[(label, n_events, plain ev/s, recorded ev/s, ratio), ...]
+
+    ``run_batch`` with an observer carrying a
+    :class:`~repro.obs.provenance.FlightRecorder` (what ``--report-out``
+    and every telemetry shard attach) against ``run_batch`` with no
+    observer.  Both take the batched path; the ratio is what provenance
+    costs.  Runs alternate, and the ratio is the median of per-round
+    ratios (see :mod:`repro.bench` on interleaving).
+    """
+    rows = []
+    for label, factory, build in BATCH_CONFIGS:
+        events = build(size)
+        encoded = encode_batch(events)
+
+        def plain(factory=factory):
+            det = factory()
+            det.run_batch(encoded)
+            return det.perf.events_per_sec
+
+        def recorded(factory=factory):
+            det = factory()
+            RunObserver(recorder=FlightRecorder()).attach(det)
+            det.run_batch(encoded)
+            return det.perf.events_per_sec
+
+        pairs = [(plain(), recorded()) for _ in range(rounds)]
+        ratio = sorted(r / p for p, r in pairs)[rounds // 2]
+        rows.append((label, len(events), max(p for p, _ in pairs),
+                     max(r for _, r in pairs), ratio))
+    return rows
+
+
+#: advisory: a recorder-attached run_batch should keep >= 40% of the
+#: plain batched rate (CI reports the ratio without failing on it)
+RECORDER_GATE_RATIO = 0.4
+
+
+def recorder_gate() -> int:
+    """Advisory gate: what a flight recorder costs batched replay."""
+    rows = recorder_overhead(size=0.3)
+    print_banner("Flight-recorder overhead gate (advisory)")
+    print(render_table(
+        ["detector", "events", "plain ev/s", "recorded ev/s", "ratio"],
+        [[label, n, f"{p:,.0f}", f"{r:,.0f}", f"{ratio:.3f}"]
+         for label, n, p, r, ratio in rows],
+    ))
+    slow = [label for label, _, _, _, ratio in rows if ratio < RECORDER_GATE_RATIO]
+    if slow:
+        print(f"FAIL: recorder-attached run_batch below {RECORDER_GATE_RATIO:.0%} "
+              f"of plain run_batch for {slow}")
+        return 1
+    print(f"OK: recorder-attached run_batch keeps >= {RECORDER_GATE_RATIO:.0%} "
+          f"of plain run_batch")
+    return 0
+
+
 if __name__ == "__main__":
     argv = sys.argv[1:]
-    known = {"--smoke", "--obs-gate", "--state-gate", "--emit-json"}
+    known = {"--smoke", "--obs-gate", "--recorder-gate", "--state-gate",
+             "--emit-json"}
     if known & set(argv):
         code = 0
         if "--smoke" in argv:
             code = smoke() or code
         if "--obs-gate" in argv:
             code = obs_gate() or code
+        if "--recorder-gate" in argv:
+            code = recorder_gate() or code
         if "--state-gate" in argv:
             code = state_gate() or code
         if "--emit-json" in argv:
@@ -321,5 +386,6 @@ if __name__ == "__main__":
             code = emit_json(path) or code
         sys.exit(code)
     print("usage: bench_core_operations.py --smoke | --obs-gate | "
-          "--state-gate | --emit-json [PATH] (or run under pytest)")
+          "--recorder-gate | --state-gate | --emit-json [PATH] "
+          "(or run under pytest)")
     sys.exit(2)

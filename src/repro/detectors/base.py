@@ -150,14 +150,14 @@ class Detector:
     def run(self, events: Iterable[Event]) -> List[Race]:
         """Analyze a whole trace; returns the accumulated race list."""
         obs = self.observer
+        if obs is not None and getattr(obs, "recorder", None) is not None:
+            return self._run_provenance(iter_batches(events), obs)
         start = time.perf_counter_ns()
         count = 0
         if obs is None:
             for event in events:
                 self.apply(event)
                 count += 1
-        elif getattr(obs, "recorder", None) is not None:
-            return self._run_recorded(events, obs)
         else:
             cadence = obs.sample_every
             for event in events:
@@ -184,13 +184,7 @@ class Detector:
         """
         obs = self.observer
         if obs is not None and getattr(obs, "recorder", None) is not None:
-            # flight recording needs per-event capture in trace order, so
-            # the batched fast path is bypassed — scalar and batched
-            # dispatch then produce byte-identical provenance
-            return self._run_recorded(
-                (e for batch in iter_batches(events, batch_size) for e in batch),
-                obs,
-            )
+            return self._run_provenance(iter_batches(events, batch_size), obs)
         start = time.perf_counter_ns()
         count = 0
         batches = 0
@@ -216,36 +210,44 @@ class Detector:
             perf.max_batch = max_batch
         return self.races
 
-    def _run_recorded(self, events: Iterable[Event], obs) -> List[Race]:
-        """Scalar replay with flight recording and report-time capture.
+    def _run_provenance(self, batches: Iterable[EventBatch], obs) -> List[Race]:
+        """Batched replay with flight recording and report-time capture.
 
-        Every event lands in the observer's
-        :class:`~repro.obs.provenance.FlightRecorder` *before* analysis,
-        and any race the analysis appends — whether through
-        :meth:`report` or directly from the engine kernels'
-        ``races_append`` — triggers ``obs.on_race`` while the
-        surrounding events are still in the rings.  Used by both
-        :meth:`run` and :meth:`run_batch` so provenance is identical
-        across dispatch modes.
+        The one loop :meth:`run` and :meth:`run_batch` share when the
+        observer carries a :class:`~repro.obs.provenance.FlightRecorder`,
+        so provenance is identical across dispatch modes.  Each slice is
+        analyzed by :meth:`apply_batch`; the races it appended — through
+        :meth:`report` or the engine kernels' ``races_append`` — get
+        their contexts rebuilt as of their report time
+        (``obs.on_batch_races``), and only then is the slice recorded.
+
+        It keeps :meth:`run`'s observer contract, so metrics, timelines
+        and reports do not depend on the dispatch mode or batch size:
+        ``on_events`` fires at the same call-relative multiples of
+        ``sample_every`` (slices are split there), and there is no
+        ``on_batch`` and no batch accounting in ``perf``.
         """
         rec = obs.recorder
         start = time.perf_counter_ns()
         count = 0
         cadence = obs.sample_every
         races = self.races
-        known = len(races)
-        record = rec.record
-        for event in events:
-            record(self._events_seen, event.kind, event.tid, event.target,
-                   event.site)
-            self.apply(event)
-            count += 1
-            if len(races) > known:
-                for race in races[known:]:
-                    obs.on_race(self, race)
+        for batch in batches:
+            n = len(batch)
+            pos = 0
+            while pos < n:
+                stop = min(n, pos + cadence - count % cadence)
+                part = batch if stop - pos == n else batch.slice(pos, stop)
+                first = self._events_seen
                 known = len(races)
-            if count % cadence == 0:
-                obs.on_events(self, self._events_seen)
+                self.apply_batch(part)
+                if len(races) > known:
+                    obs.on_batch_races(self, races[known:], first, part)
+                rec.record_batch(first, part)
+                count += stop - pos
+                pos = stop
+                if count % cadence == 0:
+                    obs.on_events(self, self._events_seen)
         self.perf.elapsed_ns += time.perf_counter_ns() - start
         self.perf.events += count
         return races

@@ -17,6 +17,10 @@ silently shortened stream is caught even when the damage still parses.
 EVENTS payloads embed a complete binio-v2 document (magic, version,
 count, CRC), so event data is integrity-checked twice — once per frame
 in flight, once per chunk at rest in the server's replay spool.
+Decoding an EVENTS frame checks that document's header, event count
+and CRC but leaves its records as bytes: the server forwards and spools
+the payload as received, and only the shard worker that analyzes it
+decodes the records.
 
 Error contract: **every** malformed input maps to a *named* subclass of
 :class:`ProtocolError` — never a hang, never a bare ``ValueError`` or
@@ -65,7 +69,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..trace.binio import dumps_binary, loads_binary
+from ..trace.binio import check_binary, dumps_binary, loads_binary
 from ..trace.events import Event
 from ..trace.trace import TraceError, TraceFormatError
 
@@ -442,9 +446,14 @@ class HelloAck:
     trace_id: int = 0
 
 
-@dataclass(frozen=True)
 class EventsChunk:
     """One sequenced chunk of trace events.
+
+    A chunk is built from ``events`` (the sender) or from the binio-v2
+    ``payload`` bytes of a received frame (:func:`decode_message`); the
+    other form is derived on first use and kept.  The receiving server
+    only ever touches ``payload`` and ``n_events``, so a chunk crosses
+    the front tier without its records being decoded.
 
     ``sent_ns`` is the sender's monotonic-clock nanosecond timestamp at
     send time (zero when tracing is disabled); the shard worker that
@@ -452,9 +461,58 @@ class EventsChunk:
     observe end-to-end chunk lag.
     """
 
-    seq: int
-    events: Tuple[Event, ...]
-    sent_ns: int = 0
+    __slots__ = ("seq", "sent_ns", "n_events", "_events", "_payload")
+
+    def __init__(
+        self,
+        seq: int,
+        events: Optional[Sequence[Event]] = None,
+        sent_ns: int = 0,
+        payload: Optional[bytes] = None,
+        n_events: Optional[int] = None,
+    ) -> None:
+        if (events is None) == (payload is None):
+            raise TypeError("an EventsChunk needs exactly one of events, payload")
+        self.seq = seq
+        self.sent_ns = sent_ns
+        self._events = None if events is None else tuple(events)
+        self._payload = payload
+        #: events in the chunk (known without decoding a payload)
+        self.n_events = len(self._events) if events is not None else n_events
+
+    @property
+    def events(self) -> Tuple[Event, ...]:
+        """The chunk's events, decoded from the payload on first use."""
+        if self._events is None:
+            try:
+                trace = loads_binary(self._payload, validate=False)
+            except (TraceFormatError, TraceError) as exc:
+                raise PayloadError(f"events payload: {exc}") from None
+            self._events = tuple(trace.events)
+        return self._events
+
+    @property
+    def payload(self) -> bytes:
+        """The chunk as a binio-v2 document, encoded on first use."""
+        if self._payload is None:
+            self._payload = dumps_binary(self._events)
+        return self._payload
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventsChunk):
+            return NotImplemented
+        return (self.seq, self.sent_ns, self.events) == (
+            other.seq, other.sent_ns, other.events
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.seq, self.sent_ns, self.events))
+
+    def __repr__(self) -> str:
+        return (
+            f"EventsChunk(seq={self.seq}, n_events={self.n_events}, "
+            f"sent_ns={self.sent_ns})"
+        )
 
 
 @dataclass(frozen=True)
@@ -587,7 +645,7 @@ def encode_message(msg: Message, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
         out = bytearray()
         _write_varint(out, msg.seq)
         _write_varint(out, msg.sent_ns)
-        out += dumps_binary(msg.events)
+        out += msg.payload
         return encode_frame(FRAME_EVENTS, bytes(out), max_frame)
     if isinstance(msg, Credit):
         return encode_frame(
@@ -678,16 +736,23 @@ def decode_message(frame: Frame) -> Message:
     Every malformed payload raises a named :class:`ProtocolError`
     subclass: :class:`PayloadError` for undecodable bytes or wrong field
     types, :class:`HandshakeError` for a HELLO with the wrong schema.
+    An EVENTS payload is checked up to its records (header, event count,
+    CRC trailer; :func:`~repro.trace.binio.check_binary`) and returned
+    as bytes — a record-grammar error surfaces, as the same
+    :class:`PayloadError`, where the records are decoded.
     """
     ftype = frame.type
     if ftype == FRAME_EVENTS:
         seq, pos = _read_varint(frame.payload, 0)
         sent_ns, pos = _read_varint(frame.payload, pos)
+        payload = bytes(frame.payload[pos:])
         try:
-            trace = loads_binary(bytes(frame.payload[pos:]), validate=False)
-        except (TraceFormatError, TraceError) as exc:
+            n_events = check_binary(payload)
+        except TraceFormatError as exc:
             raise PayloadError(f"events payload: {exc}") from None
-        return EventsChunk(seq=seq, events=tuple(trace.events), sent_ns=sent_ns)
+        return EventsChunk(
+            seq=seq, sent_ns=sent_ns, payload=payload, n_events=n_events
+        )
     if ftype == FRAME_HELLO:
         doc = _json_doc(frame)
         schema = doc.get("schema")

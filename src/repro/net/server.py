@@ -13,11 +13,16 @@ drives a session through its lifecycle:
   (CREDIT with ``ack=seq``) only once it is both *analyzed* and
   *spooled*, so every acknowledged chunk survives a worker crash and
   every unacknowledged chunk is still owned by the client — exactly-once
-  end to end;
+  end to end.  The chunk stays bytes the whole way: the frame decoder
+  checks the binio-v2 payload's header, count and CRC, the shard gets
+  the payload as received, and the spool stores those same bytes;
 * **close / disconnect** — finalize the session on its shard (the
   re-entrant finalize from :mod:`repro.obs.observer`, so a disconnect
   followed by a resume followed by another finalize never
-  double-counts) and fold its report into the merge tier.
+  double-counts) and fold its report into the merge tier.  A CLOSE
+  also frees the session's shard state; the front tier keeps its final
+  document and spool, and a resume after close (say, after a lost
+  CLOSE_ACK) rebuilds the session from the spool.
 
 **Crash recovery.**  A dead shard worker surfaces as
 :class:`~repro.net.shard.ShardCrashed`.  Recovery runs under the shard's
@@ -26,10 +31,13 @@ any injected crash plan applied to the first process only — re-open
 every session owned by that shard, replay their spools, then let the
 failed request retry its in-flight chunk.  Detector state is rebuilt
 deterministically from the spools, so the post-crash report is
-byte-identical to a crash-free run; the soak suite pins this.
+byte-identical to a crash-free run; the soak suite pins this.  Crash
+recovery, drain/restart adoption and resume-after-close all rebuild a
+session the same way (:meth:`TelemetryServer._replay_session`).
 
 **Merge tier.**  :meth:`TelemetryServer.query_doc` re-finalizes every
-session (cheap, absolute-valued) and folds the per-session
+open session (cheap, absolute-valued; a closed session's document is
+final) and folds the per-session
 ``repro/race-report/v1`` documents with
 :func:`repro.obs.reports.merge_reports` and the metrics snapshots with
 :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot` — the same
@@ -67,7 +75,9 @@ from ..obs.tracing import (
     SpanRecorder,
     assemble_service_trace,
 )
-from ..trace.binio import dumps_binary, loads_binary
+# the server never encodes a chunk (payloads are spooled as received);
+# ``dumps_binary`` stays importable here for profilers that wrap it
+from ..trace.binio import dumps_binary  # noqa: F401
 from .client import parse_address
 from .protocol import (
     DEFAULT_CREDITS,
@@ -94,7 +104,7 @@ from .protocol import (
     decode_message,
     encode_message,
 )
-from .shard import ShardCrashed, ShardPool
+from .shard import ShardCrashed, ShardError, ShardPool
 
 __all__ = [
     "LATENCY_BUCKETS_US",
@@ -220,9 +230,14 @@ def _check_backend(backend: Optional[str]) -> None:
         )
 
 
-def _read_spool(path: Path) -> List[List]:
-    """Every spooled chunk of a session, in append order."""
-    chunks: List[List] = []
+def _read_spool(path: Path) -> List[bytes]:
+    """Every spooled chunk payload of a session, in append order.
+
+    Each record is one applied chunk — a u32 length, then the binio-v2
+    payload exactly as it arrived — so record ``k`` (from 1) is the
+    chunk with sequence number ``k``.
+    """
+    chunks: List[bytes] = []
     if not path.exists():
         return chunks
     data = path.read_bytes()
@@ -230,7 +245,7 @@ def _read_spool(path: Path) -> List[List]:
     while pos + 4 <= len(data):
         size = int.from_bytes(data[pos : pos + 4], "little")
         pos += 4
-        chunks.append(list(loads_binary(data[pos : pos + size], validate=False).events))
+        chunks.append(data[pos : pos + size])
         pos += size
     return chunks
 
@@ -517,10 +532,17 @@ class TelemetryServer:
     def _adopt_manifest(self) -> None:
         """Rebuild sessions a drained predecessor left in the spool dir.
 
-        The same replay path crash recovery uses — open, site table,
-        spooled chunks in order — so adopted detector state is
-        byte-identical to the state the old server held, and a client
-        resuming here continues exactly where its CREDIT stream stopped.
+        The same replay crash recovery uses (:meth:`_replay_session`),
+        so adopted detector state is byte-identical to the state the old
+        server held, and a client resuming here continues exactly where
+        its CREDIT stream stopped.  How far a session got is read from
+        its spool, not the manifest: each record is one applied chunk,
+        numbered from 1, while the manifest is only as fresh as the last
+        drain — a server stopped without draining (or killed) after a
+        restart leaves an older manifest next to a longer spool.  A
+        session whose spool outgrew its manifest entry is adopted
+        detached (resumable) even if the entry says closed; a closed
+        one's shard state is freed again once its document is taken.
         """
         assert self._pool is not None
         if self._spool_dir is None:
@@ -543,21 +565,18 @@ class TelemetryServer:
                 shard=self._pool.shard_of(entry["name"]), spool_path=spool,
                 trace_id=entry.get("trace_id", 0),
             )
-            sess.applied_seq = entry["applied_seq"]
-            sess.chunks = entry.get("chunks", 0)
-            sess.closed = entry.get("closed", False)
             sess.site_names = {
                 int(k): v for k, v in entry.get("site_names", {}).items()
             }
             sess.spool_bytes = spool.stat().st_size if spool.exists() else 0
-            self._pool.open_session(
-                sess.name, sess.detector, sess.backend, trace_id=sess.trace_id
+            replayed = self._pool.exclusive(
+                sess.shard, lambda call, sess=sess: self._replay_session(sess, call)
             )
-            if sess.site_names:
-                self._pool.add_sites(sess.name, dict(sess.site_names))
-            for events in _read_spool(sess.spool_path):
-                self._pool.apply(sess.name, events, {"replay": True})
+            sess.applied_seq = sess.chunks = replayed
             self._finalize_session(sess)
+            if entry.get("closed", False) and replayed == entry["applied_seq"]:
+                sess.closed = True
+                self._pool.drop(sess.name)
             with self._sessions_lock:
                 self._sessions[sess.name] = sess
                 self._spool_bytes_total += sess.spool_bytes
@@ -919,7 +938,23 @@ class TelemetryServer:
                     self._log(f"session {sess.name} taken over by resume")
                 sess.attached = True
                 sess.owner = sock
-                sess.closed = False
+                if sess.closed:
+                    # CLOSE freed the shard state (e.g. the client never
+                    # saw the CLOSE_ACK and is retrying): rebuild it.
+                    # Reopening under the shard lock keeps a query from
+                    # finalizing the half-built session and a crash
+                    # recovery from skipping it
+                    def reopen(call):
+                        sess.closed = False
+                        return self._replay_session(sess, call)
+
+                    self._shard_call(
+                        sess, lambda: self._pool.exclusive(sess.shard, reopen)
+                    )
+                    self._log(
+                        f"session {sess.name} reopened from its spool at "
+                        f"seq {sess.applied_seq}"
+                    )
         if not resumed:
             self._shard_call(
                 sess,
@@ -983,11 +1018,14 @@ class TelemetryServer:
                     f"sequence gap on session {sess.name!r}: got chunk "
                     f"{chunk.seq}, expected {sess.applied_seq + 1}"
                 )
-            events = list(chunk.events)
+            # the payload goes to the shard and the spool as received;
+            # its records are decoded only by the shard that analyzes them
+            payload = chunk.payload
+            n_events = chunk.n_events
             meta = {"seq": chunk.seq, "sent_ns": chunk.sent_ns, "replay": False}
             dispatch_start = self.recorder.begin()
             _races, lag_us = self._shard_call(
-                sess, lambda: self._pool.apply(sess.name, events, meta)
+                sess, lambda: self._pool.apply(sess.name, payload, meta)
             )
             # the dispatch span is the front tier's backpressure wait:
             # its width is how long this chunk queued behind its shard
@@ -996,13 +1034,12 @@ class TelemetryServer:
                 dispatch_start,
                 tid=conn_tid,
                 args={"session": sess.name, "seq": chunk.seq,
-                      "shard": sess.shard, "events": len(events)},
+                      "shard": sess.shard, "events": n_events},
             )
             if lag_us >= 0:
                 self.metrics.histogram(
                     "net_chunk_lag_us", buckets=LATENCY_BUCKETS_US
                 ).observe(lag_us)
-            payload = dumps_binary(events)
             with open(sess.spool_path, "ab") as fh:
                 fh.write(len(payload).to_bytes(4, "little"))
                 fh.write(payload)
@@ -1014,7 +1051,7 @@ class TelemetryServer:
                 self._spool_bytes_total += spooled
                 spool_total = self._spool_bytes_total
             self.metrics.counter("net_chunks_total").inc()
-            self.metrics.counter("net_events_total").inc(len(events))
+            self.metrics.counter("net_events_total").inc(n_events)
             self.metrics.gauge("net_spool_bytes").set_max(spool_total)
             quota = self.config.spool_quota_bytes
             if quota is not None and sess.spool_bytes > quota:
@@ -1050,8 +1087,13 @@ class TelemetryServer:
                 )
             doc = self._finalize_session(sess)
             sess.closed = True
+            sess.last_doc = doc  # final: refreshes no longer touch it
             sess.attached = False
             sess.owner = None
+            # the document and the spool are all a closed session needs
+            # (a resume rebuilds it from the spool), so free the detector,
+            # recorder and sync index now rather than at server stop
+            self._shard_call(sess, lambda: self._pool.drop(sess.name))
         self.metrics.counter("net_sessions_closed").inc()
         self._log(
             f"session {sess.name} closed: {doc['events']} events, "
@@ -1099,6 +1141,25 @@ class TelemetryServer:
                     "net_shard_queue_depth", shard=shard
                 ).set(self._queue_depth[shard])
 
+    def _replay_session(self, sess: _Session, call) -> int:
+        """Rebuild one session on its shard from its spool.
+
+        ``call`` issues one raw shard message.  Drops whatever the shard
+        holds for the session, re-opens it, restores the site table and
+        applies every spooled chunk in order, so a rebuild interrupted
+        by a worker crash can simply run again.  Returns the number of
+        chunks replayed.
+        """
+        call(("drop", sess.name))
+        call(("open", sess.name, sess.detector, sess.backend, sess.trace_id))
+        if sess.site_names:
+            call(("sites", sess.name, dict(sess.site_names)))
+        chunks = 0
+        for payload in _read_spool(sess.spool_path):
+            call(("events", sess.name, payload, {"replay": True}))
+            chunks += 1
+        return chunks
+
     def _recover(self, shard: int) -> None:
         """Respawn a dead shard worker and replay its sessions' spools."""
         assert self._pool is not None
@@ -1108,16 +1169,11 @@ class TelemetryServer:
         def replay(call) -> None:
             with self._sessions_lock:
                 owned = [
-                    s for s in self._sessions.values() if s.shard == shard
+                    s for s in self._sessions.values()
+                    if s.shard == shard and not s.closed
                 ]
             for sess in sorted(owned, key=lambda s: s.name):
-                call(("open", sess.name, sess.detector, sess.backend,
-                      sess.trace_id))
-                if sess.site_names:
-                    call(("sites", sess.name, dict(sess.site_names)))
-                for events in _read_spool(sess.spool_path):
-                    call(("events", sess.name, events, {"replay": True}))
-                    replayed_chunks[0] += 1
+                replayed_chunks[0] += self._replay_session(sess, call)
                 self._log(
                     f"replayed session {sess.name}: {sess.applied_seq} "
                     f"spooled chunk(s)"
@@ -1135,8 +1191,18 @@ class TelemetryServer:
             )
 
     def _finalize_session(self, sess: _Session) -> Dict:
-        doc = self._shard_call(sess, lambda: self._pool.finalize(sess.name))
-        sess.last_doc = doc
+        """The session's document: refreshed on its shard while open,
+        the final one kept at CLOSE once closed."""
+        if sess.closed and sess.last_doc is not None:
+            return sess.last_doc
+        try:
+            doc = self._shard_call(sess, lambda: self._pool.finalize(sess.name))
+        except ShardError:
+            if sess.closed and sess.last_doc is not None:
+                return sess.last_doc  # closed and freed while we asked
+            raise
+        if not sess.closed:
+            sess.last_doc = doc
         return doc
 
     # -- merge tier ----------------------------------------------------------
@@ -1144,9 +1210,9 @@ class TelemetryServer:
     def query_doc(self, refresh: bool = True) -> Dict:
         """The live status document: merged report, roster, metrics.
 
-        ``refresh=True`` re-finalizes every session on its shard first
-        (cheap — finalize is absolute-valued and re-entrant), so the
-        answer always reflects every durably applied chunk.
+        ``refresh=True`` re-finalizes every open session on its shard
+        first (cheap — finalize is absolute-valued and re-entrant), so
+        the answer always reflects every durably applied chunk.
         """
         fold_start = self.merge_recorder.begin()
         with self._sessions_lock:

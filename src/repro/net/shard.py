@@ -13,6 +13,12 @@ Workers are the supervisor's long-lived pipe-connected processes
 (:class:`repro.analysis.supervisor.PipeWorker`) running
 :func:`_shard_main`: a request/response loop over ``open`` / ``events``
 / ``sites`` / ``finalize`` / ``drop`` / ``ping`` / ``stop`` messages.
+An ``events`` message carries the chunk's binio-v2 payload bytes exactly
+as the client sent them; the worker decodes them straight into columns
+(:func:`~repro.trace.binio.loads_binary_columns`) and a payload whose
+event grammar is broken comes back as a ``bad-payload`` reply, which
+:class:`ShardPool` raises as the wire's
+:class:`~repro.net.protocol.PayloadError`.
 Each session inside a worker is a :class:`SessionHost` — a detector with
 an attached :class:`~repro.obs.observer.RunObserver`, flight recorder,
 and an *exact* incremental
@@ -41,7 +47,7 @@ import threading
 import time
 import zlib
 from multiprocessing import get_context
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..analysis.parallel import DETECTOR_FACTORIES
 from ..analysis.supervisor import PipeWorker
@@ -50,7 +56,11 @@ from ..obs.provenance import DEFAULT_WINDOW, FlightRecorder, SyncIndexBuilder
 from ..obs.quality import build_coverage, sync_op_split
 from ..obs.reports import build_report
 from ..obs.tracing import PID_SHARD_BASE, SpanRecorder, chunk_flow_id
+from ..trace.batch import EventBatch
+from ..trace.binio import loads_binary_columns
+from ..trace.trace import TraceFormatError
 from ..util.faults import CRASH_EXIT_CODE
+from .protocol import PayloadError
 
 __all__ = [
     "SessionHost",
@@ -86,10 +96,9 @@ class SessionHost:
 
     Mirrors exactly what ``repro analyze --report-out`` builds for an
     in-memory trace: the same detector factory, an observer with a
-    flight recorder (so the per-event *recorded* run loop is taken and
-    race contexts are captured at report time), and an exact sync index
-    — fed incrementally with global event indices before each chunk is
-    analyzed, precisely when the offline path would have recorded them.
+    flight recorder (so race contexts are captured as of report time),
+    and an exact sync index — fed incrementally with the global
+    position of each chunk.
     """
 
     def __init__(
@@ -117,11 +126,25 @@ class SessionHost:
         #: wire-propagated trace id (0 = tracing off for this session)
         self.trace_id = trace_id
 
-    def apply(self, events: Sequence) -> int:
-        """Analyze one chunk; returns the session's total race count."""
-        start = self.detector._events_seen
-        self.sync_builder.add_chunk(start, events)
-        self.detector.run(events)
+    def apply(self, events) -> int:
+        """Analyze one chunk; returns the session's total race count.
+
+        ``events`` is the chunk's binio-v2 payload (bytes, as received
+        on the wire or read back from the spool) or a sequence of
+        :class:`~repro.trace.events.Event` records.  A payload is fully
+        decoded before anything is analyzed, so a malformed one
+        (:class:`~repro.net.protocol.PayloadError`) leaves the session
+        untouched.
+        """
+        if isinstance(events, (bytes, bytearray, memoryview)):
+            try:
+                batch = loads_binary_columns(events)
+            except TraceFormatError as exc:
+                raise PayloadError(f"events payload: {exc}") from None
+        else:
+            batch = EventBatch.from_events(events)
+        self.sync_builder.add_batch(self.detector._events_seen, batch)
+        self.detector.run_batch(batch)
         self.chunks_applied += 1
         return len(self.detector.races)
 
@@ -210,12 +233,13 @@ class _HostTable:
                 trace_id=trace_id,
             )
 
-    def events(self, session: str, events: Sequence, meta=None) -> tuple:
+    def events(self, session: str, events, meta=None) -> tuple:
         host = self.hosts.get(session)
         if host is None:
             raise ShardError(f"no open session {session!r} on this shard")
         meta = meta or {}
         start = self.recorder.begin()
+        n_before = host.detector.perf.events
         races = host.apply(events)
         sent_ns = meta.get("sent_ns", 0)
         lag_us = -1
@@ -226,7 +250,7 @@ class _HostTable:
         flow_in = None
         if host.trace_id and seq is not None and not replay:
             flow_in = chunk_flow_id(host.trace_id, seq)
-        args = {"session": session, "events": len(events)}
+        args = {"session": session, "events": host.detector.perf.events - n_before}
         if seq is not None:
             args["seq"] = seq
         if lag_us >= 0:
@@ -310,7 +334,12 @@ def _shard_main(
                 if crash_after is not None and events_messages >= crash_after:
                     os._exit(CRASH_EXIT_CODE)
                 meta = msg[3] if len(msg) > 3 else None
-                conn.send(("ok", table.events(msg[1], msg[2], meta)))
+                try:
+                    result = table.events(msg[1], msg[2], meta)
+                except PayloadError as exc:
+                    conn.send(("bad-payload", str(exc)))
+                    continue
+                conn.send(("ok", result))
             elif op == "sites":
                 table.sites(msg[1], msg[2])
                 conn.send(("ok", None))
@@ -367,7 +396,7 @@ class _InlineShard:
                 return "pong"
             if op == "trace":
                 return self.table.trace_group()
-        except ShardError:
+        except (ShardError, PayloadError):
             raise
         except Exception as exc:
             raise ShardError(f"{type(exc).__name__}: {exc}") from exc
@@ -452,6 +481,8 @@ class ShardPool:
             ) from None
         if reply[0] == "fail":
             raise ShardError(reply[1])
+        if reply[0] == "bad-payload":
+            raise PayloadError(reply[1])
         return reply[1]
 
     def _call(self, shard: int, msg):
@@ -498,17 +529,19 @@ class ShardPool:
             self.shard_of(session), ("open", session, detector, backend, trace_id)
         )
 
-    def apply(self, session: str, events: Sequence, meta: Optional[Dict] = None):
-        """Analyze one chunk.
+    def apply(self, session: str, events, meta: Optional[Dict] = None):
+        """Analyze one chunk: binio-v2 payload bytes, or Event records.
 
         Returns ``(races, lag_us)``: the session's race count so far and
         the end-to-end chunk lag in microseconds (``-1`` when the chunk
         carried no ``sent_ns`` timestamp).  ``meta`` forwards tracing
-        context to the worker: ``{"seq", "sent_ns", "replay"}``.
+        context to the worker: ``{"seq", "sent_ns", "replay"}``.  Raises
+        :class:`~repro.net.protocol.PayloadError` when the payload's
+        event records do not decode.
         """
-        return self._call(
-            self.shard_of(session), ("events", session, list(events), meta)
-        )
+        if not isinstance(events, bytes):
+            events = list(events)
+        return self._call(self.shard_of(session), ("events", session, events, meta))
 
     def add_sites(self, session: str, sites: Dict[int, str]) -> None:
         self._call(self.shard_of(session), ("sites", session, dict(sites)))
@@ -518,6 +551,20 @@ class ShardPool:
 
     def drop(self, session: str) -> None:
         self._call(self.shard_of(session), ("drop", session))
+
+    def exclusive(self, shard: int, work):
+        """Run ``work(call)`` holding the shard's pipe lock.
+
+        ``call`` sends one raw shard message (an op :func:`_shard_main`
+        serves), and no other request reaches the shard until ``work``
+        returns — how a session is rebuilt from its spool without a
+        query or chunk interleaving (as :meth:`recover` does after a
+        crash).  A dead worker raises :class:`ShardCrashed` as usual.
+        """
+        with self._locks[shard]:
+            if self.mode == "inline":
+                return work(self._inline[shard].call)
+            return work(lambda msg: self._roundtrip(shard, msg))
 
     def ping(self, shard: int) -> bool:
         return self._call(shard, ("ping",)) == "pong"

@@ -18,13 +18,14 @@ Attach it to a detector (and optionally a runtime/scheduler) and it
 Cost discipline: every instrumented hot path guards with a single
 ``observer is None`` branch, and nothing here runs per event — probes
 fire per batch / per GC, sampling marks per period transition.  With no
-observer attached the instrumentation is one predictable branch.  The
-one deliberate exception is race provenance: when a
+observer attached the instrumentation is one predictable branch.  Race
+provenance is opt-in: when a
 :class:`~repro.obs.provenance.FlightRecorder` is attached via
-``RunObserver(recorder=...)``, the detector run loop records every event
-into bounded per-thread rings and :meth:`RunObserver.on_race` captures
-context at report time — an explicitly opt-in cost that never touches
-the disabled path.
+``RunObserver(recorder=...)``, the detector run loops record each
+analyzed batch into bounded per-thread rings and
+:meth:`RunObserver.on_batch_races` rebuilds each reported race's context
+as of its report time — still the batched execution path, and never a
+cost on the disabled path.
 
 Determinism: probes are driven by *virtual* time only, so
 :meth:`timeline_jsonl` is byte-identical across repeated runs, ``--jobs``
@@ -83,8 +84,8 @@ class RunObserver:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.sample_every = sample_every
         #: optional :class:`repro.obs.provenance.FlightRecorder`; when set,
-        #: ``Detector.run``/``run_batch`` take the per-event recording loop
-        #: and call :meth:`on_race` for every appended race report
+        #: ``Detector.run``/``run_batch`` record every analyzed batch and
+        #: call :meth:`on_batch_races` for the race reports it appended
         self.recorder = recorder
         #: flight-recorder context per race report, parallel to the
         #: detector's race list (empty dicts when no recorder is attached)
@@ -145,6 +146,12 @@ class RunObserver:
         context while the surrounding events are still in the rings."""
         rec = self.recorder
         self.race_contexts.append(rec.capture(race) if rec is not None else {})
+
+    def on_batch_races(self, detector, races, first: int, batch) -> None:
+        """Races reported while ``batch`` (first event at trace position
+        ``first``) was analyzed; capture their flight-recorder contexts
+        before the recorder records the batch."""
+        self.race_contexts.extend(self.recorder.capture_batch(races, first, batch))
 
     def on_gc(self, detector, vt: int) -> None:
         """A nursery collection: the live path's natural probe boundary."""

@@ -7,12 +7,16 @@ evidence sources behind ``repro.obs.reports``:
 
 * :class:`FlightRecorder` — a bounded per-thread ring buffer of recent
   events (accesses *and* sync operations, with their sites and virtual
-  times).  Recording is O(1) per event and entirely absent when no
-  recorder is attached: the detectors' hot paths keep their single
-  ``observer is None`` branch, and :meth:`Detector.run`/``run_batch``
-  only enter the recording loop when ``observer.recorder`` is set.  At
-  report time :meth:`FlightRecorder.capture` cuts the event context
-  surrounding both racing accesses out of the rings.
+  times).  Recording is entirely absent when no recorder is attached:
+  the detectors' hot paths keep their single ``observer is None``
+  branch.  With one attached, :meth:`Detector.run`/``run_batch`` still
+  analyze columnar batches: after each batch,
+  :meth:`FlightRecorder.record_batch` moves each thread's last ``window``
+  events of the batch into its ring, and
+  :meth:`FlightRecorder.capture_batch` rebuilds the context of every race
+  the batch reported from the rings as they stood before the batch plus
+  the batch itself — exactly what :meth:`FlightRecorder.capture` would
+  have cut out of per-event rings at report time.
 
 * :class:`SyncIndex` + :func:`extract_witness` — reconstructs the
   vector-clock evidence for a reported race: the release-like operations
@@ -37,13 +41,18 @@ byte-identical, which the determinism tests pin.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from itertools import compress, groupby
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..trace.batch import EventBatch
 from ..trace.events import (
     ACQUIRE,
     FORK,
+    ID_TO_KIND,
     JOIN,
+    KIND_TO_ID,
     RELEASE,
     SBEGIN,
     SEND,
@@ -77,12 +86,82 @@ ACQUIRE_LIKE = frozenset((ACQUIRE, VOL_READ, JOIN))
 #: object (fork/join pair on thread ids and are matched separately)
 _PAIRED = {RELEASE: ACQUIRE, VOL_WRITE: VOL_READ}
 
+_SBEGIN_ID = KIND_TO_ID[SBEGIN]
+_SEND_ID = KIND_TO_ID[SEND]
+
+#: kind-id byte -> 1 for sync operations and sampling marks, 0 otherwise;
+#: a translated kind column finds a batch's (rare) sync events with
+#: ``bytes.find`` instead of a per-event Python test
+_SYNC_OR_MARK_TABLE = bytes(
+    1 if b < len(ID_TO_KIND) and (ID_TO_KIND[b] in SYNC_KINDS
+                                  or b in (_SBEGIN_ID, _SEND_ID)) else 0
+    for b in range(256)
+)
+
+#: kind-id byte -> 0 for sampling marks, 1 otherwise (ring selector)
+_NOT_MARK_TABLE = bytes(0 if b in (_SBEGIN_ID, _SEND_ID) else 1 for b in range(256))
+
+
+def _index_sync(
+    first: int,
+    kinds: Sequence[int],
+    tids: Sequence[int],
+    targets: Sequence[int],
+    marks: List[Tuple[int, bool]],
+    logs: Dict,
+    new_log: Callable,
+) -> int:
+    """Fold one batch's sync operations and sampling transitions in.
+
+    Appends each sync operation, in trace order, to its thread's log
+    (created by ``new_log``) and each ``sbegin``/``send`` transition to
+    ``marks`` (redundant transitions dropped).  Returns the number of
+    sampling-mark events in the batch.
+    """
+    n_marks = 0
+    mask = bytes(kinds).translate(_SYNC_OR_MARK_TABLE)
+    i = mask.find(1)
+    while i >= 0:
+        kid = kinds[i]
+        if kid == _SBEGIN_ID or kid == _SEND_ID:
+            n_marks += 1
+            entering = kid == _SBEGIN_ID
+            if not marks or marks[-1][1] != entering:
+                marks.append((first + i, entering))
+        else:
+            tid = tids[i]
+            log = logs.get(tid)
+            if log is None:
+                log = logs[tid] = new_log()
+            log.append((first + i, ID_TO_KIND[kid], targets[i]))
+        i = mask.find(1, i + 1)
+    return n_marks
+
+
+def _positions_by_thread(kinds: Sequence[int], tids: Sequence[int],
+                         has_marks: bool) -> Dict[int, List[int]]:
+    """Batch positions of each thread's events, in trace order.
+
+    Sampling marks belong to no thread and are left out.  A stable sort
+    of the positions by thread id does the grouping, so no Python code
+    runs per event.
+    """
+    positions = range(len(kinds))
+    if has_marks:
+        positions = compress(positions, bytes(kinds).translate(_NOT_MARK_TABLE))
+    tid_of = tids.__getitem__
+    return {
+        tid: list(group)
+        for tid, group in groupby(sorted(positions, key=tid_of), key=tid_of)
+    }
+
 
 class FlightRecorder:
     """Bounded per-thread ring buffers of recent events.
 
-    ``record`` is the per-event hot call: one dict lookup plus one deque
-    append (deques with ``maxlen`` evict in O(1)).  Sync operations are
+    :meth:`record_batch` feeds a whole analyzed batch at once (the
+    detector run loops); :meth:`record` feeds one event (the live
+    monitor, which sees events one at a time).  Sync operations are
     additionally kept in a longer per-thread side log so witnesses can
     reach back further than the access window, and ``sbegin``/``send``
     transitions land in ``sampling_marks`` for sampling attribution.
@@ -139,31 +218,62 @@ class FlightRecorder:
             log.append((index, kind, target))
         self.events_recorded += 1
 
+    def record_batch(self, first: int, batch: EventBatch) -> None:
+        """Record a batch whose first event sits at trace position ``first``.
+
+        Equivalent to :meth:`record` on every event in order: the sync
+        logs and sampling marks take every sync operation and transition
+        (found through the translated kind column), and each thread's
+        ring takes that thread's last ``window`` events of the batch.
+        No Python code runs per event: threads are grouped by
+        :func:`_positions_by_thread` and ring rows are built by ``map``.
+        """
+        kinds, tids, targets, sites = batch.to_list_columns()
+        n = len(kinds)
+        if not n:
+            return
+        n_marks = _index_sync(
+            first, kinds, tids, targets, self.sampling_marks, self._sync,
+            lambda: deque(maxlen=self.sync_window),
+        )
+        window = self.window
+        rings = self._rings
+        for tid, own in _positions_by_thread(kinds, tids, n_marks > 0).items():
+            tail = own[-window:]
+            ring = rings.get(tid)
+            if ring is None:
+                ring = rings[tid] = deque(maxlen=window)
+            ring.extend(zip(
+                map(first.__add__, tail),
+                map(ID_TO_KIND.__getitem__, map(kinds.__getitem__, tail)),
+                map(targets.__getitem__, tail),
+                map(sites.__getitem__, tail),
+            ))
+        self.events_recorded += n - n_marks
+
     # -- capture (report time) ----------------------------------------------
 
-    def _context(self, tid: int, pivot: int) -> Dict:
-        """Events around trace position ``pivot`` still held in tid's ring."""
-        ring = self._rings.get(tid)
-        before: List[Dict] = []
-        after: List[Dict] = []
-        retained = False
+    def _context(self, tid: int, pivot: int, ring=None) -> Dict:
+        """Events around trace position ``pivot`` held in tid's ring
+        (the recorder's own ring unless ``ring`` is given)."""
+        if ring is None:
+            ring = self._rings.get(tid)
+        before: List[Tuple[int, str, int, int]] = []
+        after: List[Tuple[int, str, int, int]] = []
         if ring:
-            for index, kind, target, site in ring:
-                if index <= pivot:
-                    if index == pivot:
-                        retained = True
-                    before.append(
-                        {"vt": index, "kind": kind, "target": target, "site": site}
-                    )
+            for row in ring:
+                if row[0] <= pivot:
+                    before.append(row)
                 elif len(after) < self.context_after:
-                    after.append(
-                        {"vt": index, "kind": kind, "target": target, "site": site}
-                    )
+                    after.append(row)
         keep = self.context_before + 1  # the access itself plus its prefix
         return {
             "tid": tid,
-            "events": before[-keep:] + after,
-            "complete": retained,
+            "events": [
+                {"vt": index, "kind": kind, "target": target, "site": site}
+                for index, kind, target, site in before[-keep:] + after
+            ],
+            "complete": bool(before) and before[-1][0] == pivot,
         }
 
     def capture(self, race) -> Dict:
@@ -180,6 +290,52 @@ class FlightRecorder:
         if race.first_index >= 0:
             first = self._context(race.first_tid, race.first_index)
         return {"first": first, "second": second, "window": self.window}
+
+    def capture_batch(
+        self, races: Sequence, first: int, batch: EventBatch
+    ) -> List[Dict]:
+        """:meth:`capture` for races reported while ``batch`` was analyzed.
+
+        Called after the batch was analyzed but *before*
+        :meth:`record_batch` records it: each race's report time is its
+        second access, ``race.index``, so a thread's ring as it stood
+        then is its current ring extended by its batch events up to that
+        position, cut to the last ``window`` events.
+        """
+        kinds, tids, targets, sites = batch.to_list_columns()
+        kb = bytes(kinds)
+        by_thread = _positions_by_thread(
+            kinds, tids, kb.count(_SBEGIN_ID) + kb.count(_SEND_ID) > 0
+        )
+        window = self.window
+
+        def ring_at(tid: int, now: int) -> List[Tuple[int, str, int, int]]:
+            own = by_thread.get(tid, ())
+            cut = bisect_right(own, now - first)
+            ring = [
+                (first + i, ID_TO_KIND[kinds[i]], targets[i], sites[i])
+                for i in own[max(cut - window, 0):cut]
+            ]
+            older = window - len(ring)
+            held = self._rings.get(tid)
+            if older > 0 and held:
+                ring = list(held)[-older:] + ring
+            return ring
+
+        out: List[Dict] = []
+        for race in races:
+            now = race.index
+            second = self._context(
+                race.second_tid, race.index, ring_at(race.second_tid, now)
+            )
+            first_ctx: Optional[Dict] = None
+            if race.first_index >= 0:
+                first_ctx = self._context(
+                    race.first_tid, race.first_index,
+                    ring_at(race.first_tid, now),
+                )
+            out.append({"first": first_ctx, "second": second, "window": window})
+        return out
 
 
 class SyncIndex:
@@ -205,8 +361,7 @@ class SyncIndex:
     def from_trace(cls, events) -> "SyncIndex":
         """Exact index over a full event sequence."""
         builder = SyncIndexBuilder()
-        for index, event in enumerate(events):
-            builder.add(index, event)
+        builder.add_batch(0, EventBatch.from_events(list(events)))
         return builder.build()
 
     @classmethod
@@ -274,7 +429,7 @@ class SyncIndexBuilder:
     events chunk by chunk and cannot keep the full trace, but it can
     afford this builder: sync operations are a few percent of a trace,
     so holding all of them stays far below holding every access.  Feed
-    every event with its *global* trace position before analyzing it,
+    every batch with the *global* trace position of its first event,
     then :meth:`build`.  The result is indistinguishable from
     :meth:`SyncIndex.from_trace` over the concatenated trace — which is
     what makes streamed race reports byte-identical to offline ones.
@@ -287,28 +442,13 @@ class SyncIndexBuilder:
         self._marks: List[Tuple[int, bool]] = []
         self.events_indexed = 0
 
-    def add(self, index: int, event) -> None:
-        """Index one event at global trace position ``index``."""
-        kind = event.kind
-        if kind == SBEGIN or kind == SEND:
-            entering = kind == SBEGIN
-            marks = self._marks
-            if not marks or marks[-1][1] != entering:
-                marks.append((index, entering))
-        elif kind in SYNC_KINDS:
-            self._sync.setdefault(event.tid, []).append(
-                (index, kind, event.target)
-            )
-        self.events_indexed += 1
-
-    def add_chunk(self, start: int, events) -> int:
-        """Index a chunk whose first event sits at position ``start``;
-        returns the position one past the chunk's last event."""
-        index = start
-        for event in events:
-            self.add(index, event)
-            index += 1
-        return index
+    def add_batch(self, start: int, batch: EventBatch) -> int:
+        """Index a batch whose first event sits at position ``start``;
+        returns the position one past the batch's last event."""
+        kinds, tids, targets, _sites = batch.to_list_columns()
+        _index_sync(start, kinds, tids, targets, self._marks, self._sync, list)
+        self.events_indexed += len(kinds)
+        return start + len(kinds)
 
     def build(self) -> SyncIndex:
         """Snapshot the accumulated state as an exact index."""

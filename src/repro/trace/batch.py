@@ -141,6 +141,14 @@ class EventBatch:
     def __len__(self) -> int:
         return len(self.kinds)
 
+    def slice(self, start: int, stop: int) -> "EventBatch":
+        """Events ``start:stop`` as a new batch (list columns)."""
+        kinds, tids, targets, sites = self.to_list_columns()
+        return EventBatch.from_columns(
+            kinds[start:stop], tids[start:stop],
+            targets[start:stop], sites[start:stop],
+        )
+
     def __iter__(self) -> Iterator[Event]:
         id_to_kind = ID_TO_KIND
         kinds, tids, targets, sites = self.to_list_columns()

@@ -43,6 +43,7 @@ __all__ = [
     "loads_binary_columns",
     "load_trace_columns",
     "describe_binary",
+    "check_binary",
 ]
 
 MAGIC = b"PACR"
@@ -162,12 +163,10 @@ def _check_crc(data: bytes) -> int:
     return stored
 
 
-def loads_binary(data: bytes, validate: bool = True) -> Trace:
-    """Parse the binary format into a :class:`Trace`.
+def _parse_count(data) -> Tuple[int, int, int, int]:
+    """Header plus event count; return (version, count, pos, end).
 
-    Raises :class:`TraceFormatError` on any structural problem and (when
-    ``validate`` is on) :class:`~repro.trace.trace.TraceError` if the
-    decoded events are not a feasible trace.
+    ``pos`` is the offset of the first event record.
     """
     version, pos, end = _parse_header(data)
     try:
@@ -180,6 +179,32 @@ def loads_binary(data: bytes, validate: bool = True) -> Trace:
         raise TraceFormatError(
             f"event count {count} exceeds remaining payload ({end - pos} bytes)"
         )
+    return version, count, pos, end
+
+
+def check_binary(data) -> int:
+    """The checks that need no event decode; returns the event count.
+
+    Magic, version, the event-count varint and its bound, and (v2+) the
+    CRC32 trailer — with :func:`loads_binary`'s messages.  The event
+    records themselves are not parsed: a payload that passes may still
+    fail to decode (the telemetry front tier forwards such payloads and
+    leaves the record grammar to the shard that decodes them).
+    """
+    version, count, _, _ = _parse_count(data)
+    if version >= 2:
+        _check_crc(data)
+    return count
+
+
+def loads_binary(data: bytes, validate: bool = True) -> Trace:
+    """Parse the binary format into a :class:`Trace`.
+
+    Raises :class:`TraceFormatError` on any structural problem and (when
+    ``validate`` is on) :class:`~repro.trace.trace.TraceError` if the
+    decoded events are not a feasible trace.
+    """
+    version, count, pos, end = _parse_count(data)
     events: List[Event] = []
     for _ in range(count):
         kind_id, pos = _read_varint(data, pos, end)

@@ -193,3 +193,74 @@ def test_metrics_match_offline_totals():
     for key in ("counters", "gauges"):
         for name, value in off_metrics[key].items():
             assert streamed[key][name] == value, name
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_resume_after_close_rebuilds_from_spool(backend):
+    """CLOSE frees the session's shard state; resuming it (as a client
+    that lost its CLOSE_ACK would) rebuilds it from the spool, and the
+    report is still byte-identical to the offline run."""
+    off_doc, off_counters, _ = offline_report("fasttrack", backend)
+    with TelemetryServer(ServerConfig(n_shards=2, shard_mode="process")) as server:
+        client = TelemetryClient(
+            server.address, "parity", detector="fasttrack",
+            backend=backend, chunk_size=37,
+        )
+        client.connect()
+        client.send_events(EVENTS)
+        first = client.close()
+        again = TelemetryClient(
+            server.address, "parity", detector="fasttrack",
+            backend=backend, chunk_size=37,
+        )
+        ack = again.connect(resume=True)
+        assert ack.resume_seq == -(-len(EVENTS) // 37)
+        reopened = server.session_doc("parity")
+        again.next_seq = ack.resume_seq + 1
+        second = again.close()
+        sdoc = server.session_doc("parity")
+    assert first == second
+    assert second["events"] == len(EVENTS)
+    for doc in (reopened, sdoc):
+        assert canonical(doc["report"]) == canonical(off_doc)
+        assert doc["counters"] == off_counters
+
+
+def hosted(server) -> list:
+    """Sessions whose detector state the (inline) shards hold."""
+    return sorted(
+        name for shard in server._pool._inline for name in shard.table.hosts
+    )
+
+
+def test_closed_sessions_free_their_shard_state():
+    """After N closed sessions, each shard holds only open sessions; a
+    resume of a closed one rebuilds it, and its next CLOSE frees it."""
+    with TelemetryServer(ServerConfig(n_shards=2, shard_mode="inline")) as server:
+        open_client = TelemetryClient(server.address, "still-open", chunk_size=97)
+        open_client.connect()
+        open_client.send_events(EVENTS[:200])
+        open_client.drain()
+        for i in range(6):
+            client = TelemetryClient(
+                server.address, f"done{i}",
+                detector=("fasttrack", "pacer")[i % 2], chunk_size=97,
+            )
+            client.connect()
+            client.send_events(EVENTS)
+            assert client.close()["events"] == len(EVENTS)
+        assert hosted(server) == ["still-open"]
+        # closed sessions still answer from their final documents
+        doc = server.query_doc()
+        states = {s["session"]: s["state"] for s in doc["sessions"]}
+        assert states.pop("still-open") == "attached"
+        assert set(states.values()) == {"closed"}
+        assert doc["report"]["events"] == 6 * len(EVENTS) + 200
+        open_client.close()
+        assert hosted(server) == []
+        again = TelemetryClient(server.address, "done3", detector="pacer")
+        ack = again.connect(resume=True)
+        assert hosted(server) == ["done3"]
+        again.next_seq = ack.resume_seq + 1
+        assert again.close()["events"] == len(EVENTS)
+        assert hosted(server) == []

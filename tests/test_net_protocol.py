@@ -588,3 +588,76 @@ def test_server_query_needs_no_session(server):
     assert report.doc["schema"].startswith("repro/telemetry-status/")
     assert "sessions" in report.doc and "report" in report.doc
     conn.close()
+
+
+# -- EVENTS payloads pass through the front tier as bytes ---------------------
+
+
+def _binio_doc(records: bytes, count: int) -> bytes:
+    """A binio-v2 document with a valid header, count and CRC trailer
+    around arbitrary record bytes."""
+    import zlib
+
+    body = b"PACR\x02" + bytes([count]) + records
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+@pytest.mark.parametrize("shard_mode", ["inline", "process"])
+@pytest.mark.parametrize(
+    "records",
+    [
+        bytes([20, 1, 1, 0]),  # unknown kind id
+        bytes([0, 1, 1, 0x80]),  # record ends mid-varint
+        bytes([0, 1, 1, 0, 0]),  # a byte after the last record
+    ],
+    ids=["unknown-kind", "truncated-varint", "trailing-byte"],
+)
+def test_bad_record_grammar_is_bad_payload_and_never_applied(shard_mode, records):
+    """Header, count and both CRCs are valid, so the front tier forwards
+    the payload; the shard's decode rejects it with the exact text the
+    scalar reader gives, and nothing is acked, spooled or applied."""
+    from repro.trace.binio import loads_binary
+    from repro.trace.trace import TraceFormatError
+
+    doc = _binio_doc(records, 1)
+    with pytest.raises(TraceFormatError) as reader:
+        loads_binary(doc, validate=False)
+    config = ServerConfig(n_shards=2, shard_mode=shard_mode)
+    with TelemetryServer(config) as srv:
+        conn = RawConn(srv.address)
+        _hello(conn, "bad-grammar")
+        conn.send_raw(encode_frame(FRAME_EVENTS, b"\x01\x00" + doc))
+        err = conn.expect_error("bad-payload")
+        assert err.detail == f"events payload: {reader.value}"
+        conn.close()
+        status = srv.query_doc()
+        (roster,) = status["sessions"]
+        assert roster["applied_seq"] == 0
+        assert roster["events"] == 0
+        assert status["server"]["resilience"]["spool_bytes"] == 0
+        # the session is intact: a resume continues at seq 1
+        conn = RawConn(srv.address)
+        conn.send(Hello(session="bad-grammar", resume=True))
+        ack = conn.recv_msg()
+        assert isinstance(ack, HelloAck) and ack.resume_seq == 0
+        conn.send(EventsChunk(seq=1, events=(Event(WRITE, 0, 7, 1),)))
+        credit = conn.recv_msg()
+        assert isinstance(credit, Credit) and credit.ack == 1
+        conn.close()
+
+
+def test_events_frame_decode_keeps_payload_bytes():
+    """Decoding an EVENTS frame checks the binio header, count and CRC
+    and hands the payload on as the exact bytes that were sent."""
+    from repro.trace.binio import dumps_binary
+
+    events = (Event(WRITE, 0, 7, 1), Event(READ, 1, 7, 2), Event(SBEGIN, -1, 0, 0))
+    (frame,) = decode_all(encode_message(EventsChunk(seq=3, events=events)))
+    chunk = decode_message(frame)
+    assert chunk.payload == dumps_binary(events)
+    assert chunk.n_events == 3
+    assert chunk.events == events
+    # a count beyond the payload is caught without decoding any record
+    bad = Frame(FRAME_EVENTS, b"\x01\x00" + _binio_doc(b"\x00", 9))
+    with pytest.raises(PayloadError, match="events payload: event count 9"):
+        decode_message(bad)

@@ -628,3 +628,119 @@ def test_drain_evicts_stragglers_with_named_error():
         assert err.retry_after == 0.25
         assert "draining" in err.detail
         conn.close()
+
+
+def _wait_applied(server, session: str, seq: int) -> None:
+    deadline = time.monotonic() + 10.0
+    while True:
+        roster = {s["session"]: s for s in server.query_doc()["sessions"]}
+        if roster[session]["applied_seq"] >= seq:
+            return
+        assert time.monotonic() < deadline, roster[session]
+        time.sleep(0.02)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_adoption_trusts_the_spool_over_a_stale_manifest(backend):
+    """drain -> restart -> resume + more chunks -> stop *without* drain
+    (as a kill would) -> restart -> resume -> close.  The manifest still
+    holds the first drain's seq; the spool holds every applied chunk.
+    Adoption must resume from the spool, or the client's unacked chunks
+    are applied twice."""
+    off_doc, off_counters = offline_report("fasttrack", backend)
+    workdir = tempfile.mkdtemp(prefix="repro-net-")
+    spool = os.path.join(workdir, "spool")
+    address = f"unix://{workdir}/t.sock"
+
+    def config():
+        return ServerConfig(
+            address=address, n_shards=2, shard_mode="inline",
+            spool_dir=spool, drain_timeout=2.0,
+        )
+
+    chunk = 37
+    first = 4 * chunk
+    # exactly one credit window: the client holds all of them unacked
+    second = first + 8 * chunk
+    server = TelemetryServer(config()).start()
+    client = TelemetryClient(
+        address, "stale", detector="fasttrack", backend=backend,
+        chunk_size=chunk,
+    )
+    client.connect()
+    client.send_events(EVENTS[:first])
+    client.drain()
+    client.abort()
+    assert server.drain()["drained"] == 1
+    server.stop()
+
+    server2 = TelemetryServer(config()).start()
+    assert server2.adopted_sessions == 1
+    assert client.reconnect().resume_seq == 4
+    client.send_events(EVENTS[first:second])
+    _wait_applied(server2, "stale", 12)
+    assert len(client.unacked) == 8
+    client.abort()
+    server2.stop()  # no drain: sessions.json still says seq 4
+
+    server3 = TelemetryServer(config()).start()
+    try:
+        assert server3.adopted_sessions == 1
+        ack = client.reconnect()
+        assert ack.resume_seq == 12
+        client.send_events(EVENTS[second:])
+        summary = client.close()
+        sdoc = server3.session_doc("stale")
+    finally:
+        server3.stop()
+    assert summary["events"] == len(EVENTS)
+    assert summary["chunks"] == -(-len(EVENTS) // chunk)
+    assert canonical(sdoc["report"]) == canonical(off_doc)
+    assert sdoc["counters"] == off_counters
+
+
+def test_adoption_reopens_closed_session_whose_spool_grew():
+    """A manifest entry says closed, but the session was resumed and fed
+    more chunks after that drain: it is adopted detached, resumable."""
+    off_doc, off_counters = offline_report("fasttrack", "packed")
+    workdir = tempfile.mkdtemp(prefix="repro-net-")
+    spool = os.path.join(workdir, "spool")
+    address = f"unix://{workdir}/t.sock"
+
+    def config():
+        return ServerConfig(
+            address=address, n_shards=2, shard_mode="inline",
+            spool_dir=spool, drain_timeout=2.0,
+        )
+
+    half = 6 * 37
+    server = TelemetryServer(config()).start()
+    client = TelemetryClient(address, "regrown", backend="packed", chunk_size=37)
+    client.connect()
+    client.send_events(EVENTS[:half])
+    assert client.close()["events"] == half
+    server.drain()
+    server.stop()
+
+    server2 = TelemetryServer(config()).start()
+    roster = server2.query_doc()["sessions"]
+    assert [(s["session"], s["state"]) for s in roster] == [("regrown", "closed")]
+    client.connect(resume=True)
+    client.send_events(EVENTS[half:])
+    client.drain()
+    client.abort()
+    server2.stop()  # no drain: the manifest still says closed at seq 6
+
+    server3 = TelemetryServer(config()).start()
+    try:
+        (entry,) = server3.query_doc()["sessions"]
+        assert entry["state"] == "detached"
+        assert entry["applied_seq"] == -(-len(EVENTS) // 37)
+        assert client.reconnect().resume_seq == entry["applied_seq"]
+        summary = client.close()
+        sdoc = server3.session_doc("regrown")
+    finally:
+        server3.stop()
+    assert summary["events"] == len(EVENTS)
+    assert canonical(sdoc["report"]) == canonical(off_doc)
+    assert sdoc["counters"] == off_counters

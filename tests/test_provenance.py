@@ -238,3 +238,92 @@ class TestStringSites:
             make_race(first_site=1, second_site=2),
         ]
         assert distinct_races(races) == {("a.py:1", 3), (1, 2)}
+
+
+class TestBatchRecording:
+    """``record_batch``/``capture_batch`` against the per-event recorder."""
+
+    @staticmethod
+    def _events(seed):
+        from repro.trace.generator import GeneratorConfig, random_trace
+
+        events = list(
+            random_trace(
+                GeneratorConfig(length=300, n_threads=5, sampling_period_prob=0.05,
+                                seed=seed)
+            ).events
+        )
+        # a sampling mark that shares a real thread's id must still stay
+        # out of that thread's ring
+        events.insert(len(events) // 2, sbegin()._replace(tid=1))
+        return events
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("window", [1, 3, 16])
+    @pytest.mark.parametrize("size", [1, 7, 64, 10_000])
+    def test_batches_record_and_capture_like_events(self, seed, window, size):
+        import random
+
+        from repro.trace.batch import EventBatch
+
+        events = self._events(seed)
+        rng = random.Random(seed * 1000 + window * 10 + size)
+        # synthetic reports: a second access at j, a first at some i < j
+        races = []
+        for j in sorted(rng.sample(range(1, len(events)), 40)):
+            i = rng.randrange(-1, j)
+            races.append(make_race(
+                index=j, first_index=i,
+                second_tid=events[j].tid,
+                first_tid=events[i].tid if i >= 0 else 0,
+            ))
+        scalar = FlightRecorder(window=window, sync_window=window + 2)
+        expected = []
+        pending = list(races)
+        for index, event in enumerate(events):
+            scalar.record(index, event.kind, event.tid, event.target, event.site)
+            while pending and pending[0].index == index:
+                expected.append(scalar.capture(pending.pop(0)))
+        batched = FlightRecorder(window=window, sync_window=window + 2)
+        got = []
+        for start in range(0, len(events), size):
+            batch = EventBatch.from_events(events[start:start + size])
+            inside = [r for r in races if start <= r.index < start + len(batch)]
+            if inside:
+                got.extend(batched.capture_batch(inside, start, batch))
+            batched.record_batch(start, batch)
+        assert got == expected
+        assert batched.events_recorded == scalar.events_recorded
+        assert batched.sampling_marks == scalar.sampling_marks
+        assert {t: list(r) for t, r in batched._rings.items()} == {
+            t: list(r) for t, r in scalar._rings.items()
+        }
+        assert {t: list(r) for t, r in batched._sync.items()} == {
+            t: list(r) for t, r in scalar._sync.items()
+        }
+
+    def test_sync_index_builder_batches_match_trace(self):
+        from repro.obs.provenance import SyncIndexBuilder
+        from repro.trace.batch import EventBatch
+
+        events = self._events(3)
+        builder = SyncIndexBuilder()
+        pos = 0
+        for size in (1, 5, 33, 1000):
+            pos = builder.add_batch(pos, EventBatch.from_events(events[pos:pos + size]))
+        from repro.trace.events import SBEGIN, SEND, SYNC_KINDS
+
+        sync, marks = {}, []
+        for index, event in enumerate(events):
+            if event.kind in (SBEGIN, SEND):
+                entering = event.kind == SBEGIN
+                if not marks or marks[-1][1] != entering:
+                    marks.append((index, entering))
+            elif event.kind in SYNC_KINDS:
+                sync.setdefault(event.tid, []).append(
+                    (index, event.kind, event.target)
+                )
+        assert pos == len(events) == builder.events_indexed
+        for built in (builder.build(), SyncIndex.from_trace(events)):
+            assert built._sync == sync
+            assert built.sampling_marks == marks
