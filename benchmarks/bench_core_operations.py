@@ -28,7 +28,7 @@ from _common import marked_trace, print_banner
 from repro.analysis import render_table
 from repro.bench import (
     BATCH_CONFIGS,
-    PACKED_SPEEDUP_TARGET,
+    OBJECT_BATCH_OVER_SCALAR,
     _best_rate,
     backend_comparison,
     emit_json as _emit_json,
@@ -172,7 +172,7 @@ def smoke() -> int:
 
 # -- state-backend comparison ---------------------------------------------------
 #
-# PACKED_SPEEDUP_TARGET and ``backend_comparison`` are imported from
+# The gate targets and ``backend_comparison`` are imported from
 # repro.bench; the sharp ratio is measured locally into BENCH_core.json
 # (interleaved methodology), CI re-runs direction-only (see state_gate).
 
@@ -200,10 +200,12 @@ def state_gate() -> int:
 
     * memory: packed's footprint may not exceed the object backend's on
       the eclipse workload (identical by construction; the gate pins it);
-    * throughput: packed batched replay must beat object batched replay
-      on the layout-bound fasttrack config, measured interleaved
-      (direction only — CI boxes are too noisy for the sharp 1.5x
-      target, which BENCH_core.json documents from a quiet machine).
+    * throughput: packed batched replay must beat object scalar ``run``
+      by ``OBJECT_BATCH_OVER_SCALAR`` on the layout-bound fasttrack
+      config, measured interleaved — the old "faster than object
+      batched replay" bar, rescaled to the scalar reference (CI boxes
+      are too noisy for the sharp ``PACKED_SPEEDUP_TARGET``, which
+      BENCH_core.json documents from a quiet machine).
     """
     events = marked_trace(MEMORY_GATE_WORKLOAD, 0.10, size=0.5)
     encoded = encode_batch(events)
@@ -223,15 +225,16 @@ def state_gate() -> int:
         if footprints["packed"] > footprints["object"]:
             failures.append(f"{label} packed footprint")
     speedup, _ = interleaved_speedup("packed", size=0.5, rounds=3)
-    print(f"packed vs object batched replay (fasttrack, interleaved): "
-          f"{speedup:.2f}x")
-    if speedup <= 1.0:
+    floor = OBJECT_BATCH_OVER_SCALAR
+    print(f"packed batched replay vs object scalar run (fasttrack, "
+          f"interleaved): {speedup:.2f}x (target > {floor}x)")
+    if speedup <= floor:
         failures.append("fasttrack packed batched throughput")
     if failures:
         print(f"FAIL: packed backend regressed on {failures}")
         return 1
-    print("OK: packed footprint <= object on eclipse; batched replay "
-          "faster than object on fasttrack")
+    print(f"OK: packed footprint <= object on eclipse; batched replay "
+          f"> {floor}x object scalar run on fasttrack")
     return 0
 
 

@@ -8,6 +8,12 @@ the machine-readable evidence file ``BENCH_core.json`` (each write also
 appends a timestamped line to ``BENCH_history.jsonl`` so regressions
 can be traced across runs).
 
+The speedup gates measure the packed engine's batched replay against
+the object backend's scalar :meth:`~repro.detectors.base.Detector.run`,
+the paper-shaped reference loop.  Object batches take the generic
+column loop, whose speed is not the engine's business, so a ratio over
+it would move for reasons that have nothing to do with the engine.
+
 Measurement methodology
 -----------------------
 
@@ -39,6 +45,7 @@ from .trace.batch import encode_batch
 
 __all__ = [
     "BATCH_CONFIGS",
+    "OBJECT_BATCH_OVER_SCALAR",
     "PACKED_SPEEDUP_TARGET",
     "recorded_trace",
     "marked_trace",
@@ -50,9 +57,16 @@ __all__ = [
     "append_bench_history",
 ]
 
-#: the packed backend must beat the object backend's *batched* replay by
-#: this factor on the layout-bound (fasttrack) config.
-PACKED_SPEEDUP_TARGET = 1.5
+#: FASTTRACK object batched over object scalar replay back when the
+#: object backend had its own inlined batch loop (pseudojbb, size 1.0,
+#: interleaved median of 21 rounds).  The gates were ratios over that
+#: batched replay; over scalar ``run`` they scale by this factor, so it
+#: is also the floor of the direction-only CI check (``--state-gate``).
+OBJECT_BATCH_OVER_SCALAR = 2.3
+
+#: packed batched replay must beat object scalar ``run`` by this factor
+#: on the layout-bound (fasttrack) config: the old 1.5x, rescaled
+PACKED_SPEEDUP_TARGET = 3.45
 
 #: workload the backend rows and the speedup gate replay
 BENCH_WORKLOAD = "pseudojbb"
@@ -152,7 +166,8 @@ def backend_comparison(size=0.7, repeats=3):
 def interleaved_speedup(contender: str, baseline: str = "object",
                         config: str = "fasttrack", size: float = 1.0,
                         rounds: int = 5):
-    """Drift-robust batched-replay speedup of one backend over another.
+    """Drift-robust speedup of ``contender``'s batched replay over
+    ``baseline``'s scalar :meth:`~repro.detectors.base.Detector.run`.
 
     Runs ``rounds`` alternating baseline/contender replays and returns
     ``(median of per-round ratios, events)`` — see the module docstring
@@ -162,16 +177,21 @@ def interleaved_speedup(contender: str, baseline: str = "object",
     events = build(size)
     encoded = encode_batch(events)
 
-    def run(backend):
-        det = factory(backend=backend)
+    def scalar():
+        det = factory(backend=baseline)
+        det.run(events)
+        return det.perf.events_per_sec
+
+    def batched():
+        det = factory(backend=contender)
         det.run_batch(encoded)
         return det.perf.events_per_sec
 
-    run(baseline), run(contender)  # warm allocators and code paths
+    scalar(), batched()  # warm allocators and code paths
     ratios = []
     for _ in range(rounds):
-        base = run(baseline)
-        cont = run(contender)
+        base = scalar()
+        cont = batched()
         ratios.append(cont / base)
     return statistics.median(ratios), len(events)
 
@@ -237,12 +257,12 @@ def emit_json(path, size=0.7, repeats=3, gate_size=1.0, gate_rounds=5) -> int:
         "packed", size=gate_size, rounds=gate_rounds)
     gate = {
         "config": "fasttrack",
-        "metric": "batched replay throughput, packed vs object backend "
+        "metric": "packed batched replay vs object scalar run "
                   "(interleaved median ratio)",
         "speedup": round(packed_speedup, 3),
         "target": PACKED_SPEEDUP_TARGET,
     }
-    print(f"packed vs object batched replay (fasttrack): "
+    print(f"packed batched replay vs object scalar run (fasttrack): "
           f"{packed_speedup:.2f}x (target {PACKED_SPEEDUP_TARGET}x)")
     doc = {
         "bench": "core_operations",

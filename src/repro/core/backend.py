@@ -6,12 +6,16 @@ Two backends hold the detectors' per-variable read/write metadata:
   :class:`~repro.core.metadata.VarState` objects holding
   :class:`~repro.core.clocks.Epoch` NamedTuples and
   :class:`~repro.core.clocks.ReadMap` instances.  This is the layout the
-  paper describes and the code the algorithm map points at.
-* ``packed`` — the default and the one fast engine: a slab/arena of parallel integer arrays
-  indexed by dense slot ids, storing epochs packed per
-  :func:`~repro.core.clocks.pack_epoch`.  Inflated concurrent-read maps
-  live in a side table keyed by slot; PACER's metadata discard returns
-  slots to a free list for reuse.
+  paper describes and the code the algorithm map points at.  It is the
+  scalar reference: its batches run the generic column loop of
+  :meth:`~repro.detectors.base.Detector.apply_batch` over the same
+  typed handlers.
+* ``packed`` — the default and the one fast engine: a slab/arena of
+  parallel integer arrays indexed by dense slot ids, storing epochs
+  packed per :func:`~repro.core.clocks.pack_epoch`, driven by the
+  kernels of :mod:`repro.core.engine` on both dispatch paths.  Inflated
+  concurrent-read maps live in a side table keyed by slot; PACER's
+  metadata discard returns slots to a free list for reuse.
 
 Both backends are held to identical races, operation counts, and
 footprint words by the differential suite

@@ -1,14 +1,17 @@
 """Packed-state analysis kernels shared by scalar and batched dispatch.
 
-The object backend keeps two transcriptions of Algorithms 7/8 and 12/13:
-the scalar typed handlers (the semantic reference) and the inlined batch
-loops from the dispatch layer.  The packed backend folds them: one kernel
-per detector family drives both paths — the scalar handlers call it with
-a singleton event, the batch path with whole columns — so there is a
-single transcription of each algorithm over the packed representation.
-This is the one fast engine: ``packed`` is the default backend, and
-``object`` stays only as the paper-shaped reference it is checked
-against.
+There are two transcriptions of Algorithms 7/8 and 12/13: the object
+backend's scalar typed handlers (the paper-shaped reference) and the
+kernels here.  One kernel per detector family drives both dispatch
+paths of the packed backend — the scalar handlers call it with a
+singleton event, the batch path with whole columns.  This is the one
+fast engine: ``packed`` is the default backend, and ``object`` stays
+only as the scalar reference it is checked against (its batches run
+the generic column loop of
+:meth:`~repro.detectors.base.Detector.apply_batch`).  Synchronization
+actions and period boundaries go through
+:meth:`~repro.detectors.base.Detector.apply_sync`, the ladder every
+batch loop shares.
 
 Everything here works on :class:`~repro.core.backend.PackedVarStore`
 arrays: epochs are packed ints (:func:`~repro.core.clocks.pack_epoch`),
@@ -56,6 +59,7 @@ def fasttrack_kernel(det, kinds, tids, targets, sites, seen0):
     thread_clock = det._thread_clock
     threads_add = det._threads.add
     races_append = det.races.append
+    apply_sync = det.apply_sync
     seen = seen0
     reads = 0
     writes = 0
@@ -161,32 +165,9 @@ def fasttrack_kernel(det, kinds, tids, targets, sites, seen0):
                 words += 2
         elif k >= 10:  # m_enter / m_exit / alloc: no-ops here
             continue
-        elif k == 8:  # period boundaries carry no acting thread
+        else:  # sync actions and period boundaries: drop the clock cache
             det._events_seen = seen
-            det.begin_sampling()
-            cache.clear()
-        elif k == 9:
-            det._events_seen = seen
-            det.end_sampling()
-            cache.clear()
-        else:  # synchronization actions mutate clocks: drop the cache
-            det._events_seen = seen
-            if tid != last_tid:
-                threads_add(tid)
-                last_tid = tid
-            if k == 2:
-                det.acquire(tid, target)
-            elif k == 3:
-                det.release(tid, target)
-            elif k == 4:
-                threads_add(target)
-                det.fork(tid, target)
-            elif k == 5:
-                det.join(tid, target)
-            elif k == 6:
-                det.vol_read(tid, target)
-            else:  # k == 7
-                det.vol_write(tid, target)
+            apply_sync(k, tid, target)
             cache.clear()
     det._events_seen = seen
     counters = det.counters
@@ -337,9 +318,15 @@ def pacer_access_packed(det, k, tid, var, site, index):
 def pacer_kernel(det, kinds, tids, targets, sites, seen0):
     """PACER's run-bulked batch loop over the packed arena.
 
-    Same run-splitting scaffold as the object batch loop — byte-mask run
-    scans, bulk retirement of non-sampling runs disjoint from tracked
-    variables — but every per-event access, sampling or not, goes through
+    The paper's premise is that at low sampling rates nearly every
+    access hits the inlined "no metadata, not sampling" check
+    (Algorithms 12/13, first line).  Maximal runs of consecutive access
+    events are located with a byte-mask scan, and a run outside a
+    sampling period that touches no tracked variable is retired *in
+    bulk*: counter arithmetic and one thread-set update.  No metadata
+    can appear during such a run (nothing allocates outside sampling
+    without an existing entry), so the run-entry probe stays valid for
+    the whole run.  Every other access, sampling or not, goes through
     the one transcription in :func:`pacer_access_packed`.
     """
     n = len(kinds)
@@ -353,7 +340,7 @@ def pacer_kernel(det, kinds, tids, targets, sites, seen0):
     tracked_disjoint = tracked.keys().isdisjoint
     counters = det.counters
     threads = det._threads
-    threads_add = threads.add
+    apply_sync = det.apply_sync
     sampling = det.sampling
     reads_fast = 0
     writes_fast = 0
@@ -410,29 +397,9 @@ def pacer_kernel(det, kinds, tids, targets, sites, seen0):
             i = j
             continue
         det._events_seen = seen0 + i + 1
-        if k == 8:  # period boundaries carry no acting thread
-            det.begin_sampling()
+        apply_sync(k, tids[i], targets[i])
+        if k >= 8:  # a period boundary flips ``sampling``
             sampling = det.sampling
-        elif k == 9:
-            det.end_sampling()
-            sampling = det.sampling
-        else:  # synchronization actions (2 <= k <= 7)
-            tid = tids[i]
-            target = targets[i]
-            threads_add(tid)
-            if k == 2:
-                det.acquire(tid, target)
-            elif k == 3:
-                det.release(tid, target)
-            elif k == 4:
-                threads_add(target)
-                det.fork(tid, target)
-            elif k == 5:
-                det.join(tid, target)
-            elif k == 6:
-                det.vol_read(tid, target)
-            else:  # k == 7
-                det.vol_write(tid, target)
         i += 1
     det._events_seen = seen0 + n
     counters.reads_fast_nonsampling += reads_fast

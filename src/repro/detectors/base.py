@@ -10,6 +10,14 @@ semantics' "stuck" state corresponds to the first report).
 Every detector resolves its state backend through
 :func:`~repro.core.backend.resolve_backend`: ``object`` (the
 paper-shaped reference) or ``packed`` (the default fast engine).
+
+Batches (:meth:`Detector.apply_batch`) run through one column loop that
+calls the typed handlers straight from the batch columns.  FASTTRACK and
+PACER on the packed backend replace it with their engine kernels
+(:mod:`repro.core.engine`); every other detector, and the object
+backend of those two, keeps it.  Synchronization actions and period
+boundaries go through :meth:`Detector.apply_sync`, the one ladder the
+column loop and both kernels share.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from ..trace.events import (
     ALLOC,
     Event,
     FORK,
-    ID_TO_KIND,
     JOIN,
     METHOD_ENTER,
     METHOD_EXIT,
@@ -131,11 +138,6 @@ class Detector:
             METHOD_EXIT: self._ev_method_exit,
             ALLOC: self._ev_ignore,
         }
-        # the same handlers, indexed by the canonical kind id — the
-        # default batched loop dispatches through this list
-        self._dispatch_by_id: List[Callable[[Event], None]] = [
-            self._dispatch[kind] for kind in ID_TO_KIND
-        ]
 
     # -- public API --------------------------------------------------------
 
@@ -178,9 +180,9 @@ class Detector:
 
         Behavior-identical to :meth:`run` — same races, counters, and
         metadata — but events flow as columnar :class:`EventBatch` chunks
-        through :meth:`apply_batch`, which hot detectors override with an
-        inlined loop.  ``events`` may be any event iterable or an already
-        encoded :class:`EventBatch`.
+        through :meth:`apply_batch`, which FASTTRACK and PACER route to
+        their packed engine kernels.  ``events`` may be any event
+        iterable or an already encoded :class:`EventBatch`.
         """
         obs = self.observer
         if obs is not None and getattr(obs, "recorder", None) is not None:
@@ -253,20 +255,65 @@ class Detector:
         return races
 
     def apply_batch(self, batch: EventBatch) -> None:
-        """Process one encoded batch.
+        """Process one encoded batch through the typed handlers.
 
-        The base implementation decodes each record and dispatches it
-        exactly like :meth:`apply` (so every detector supports batches);
-        FASTTRACK and PACER override it with inlined hot loops.
+        One loop over the list columns, with the same handler calls and
+        the same ``_events_seen`` and ``_threads`` bookkeeping as
+        :meth:`apply`'s trampolines, and no :class:`Event` per record.
         """
-        dispatch = self._dispatch_by_id
-        id_to_kind = ID_TO_KIND
-        seen = self._events_seen
         kinds, tids, targets, sites = batch.to_list_columns()
-        for kid, tid, target, site in zip(kinds, tids, targets, sites):
+        read = self.read
+        write = self.write
+        apply_sync = self.apply_sync
+        threads_add = self._threads.add
+        seen = self._events_seen
+        for k, tid, target, site in zip(kinds, tids, targets, sites):
             seen += 1
             self._events_seen = seen
-            dispatch[kid](Event(id_to_kind[kid], tid, target, site))
+            if k == 0:
+                threads_add(tid)
+                read(tid, target, site)
+            elif k == 1:
+                threads_add(tid)
+                write(tid, target, site)
+            elif k < 10:
+                apply_sync(k, tid, target)
+            elif k == 10:
+                self.method_enter(tid, target)
+            elif k == 11:
+                self.method_exit(tid, target)
+            # k == 12 (alloc) is ignored, as by apply
+
+    def apply_sync(self, k: int, tid: int, target: int) -> None:
+        """Apply one event of kind id 2-9 from batch columns.
+
+        The synchronization ladder every batch loop shares: the column
+        loop above and the packed kernels of :mod:`repro.core.engine`.
+        A synchronization action notes its thread (a fork also its
+        child) like the :meth:`apply` trampolines; period boundaries
+        carry no acting thread.  ``_events_seen`` must already count the
+        event.
+        """
+        if k >= 8:
+            if k == 8:
+                self.begin_sampling()
+            else:
+                self.end_sampling()
+            return
+        self._threads.add(tid)
+        if k == 2:
+            self.acquire(tid, target)
+        elif k == 3:
+            self.release(tid, target)
+        elif k == 4:
+            self._threads.add(target)
+            self.fork(tid, target)
+        elif k == 5:
+            self.join(tid, target)
+        elif k == 6:
+            self.vol_read(tid, target)
+        else:  # k == 7
+            self.vol_write(tid, target)
 
     @property
     def distinct_races(self) -> Set[Tuple[SiteId, SiteId]]:

@@ -231,11 +231,12 @@ def _check_backend(backend: Optional[str]) -> None:
 
 
 def _read_spool(path: Path) -> List[bytes]:
-    """Every spooled chunk payload of a session, in append order.
+    """Every whole spooled chunk payload of a session, in append order.
 
     Each record is one applied chunk — a u32 length, then the binio-v2
     payload exactly as it arrived — so record ``k`` (from 1) is the
-    chunk with sequence number ``k``.
+    chunk with sequence number ``k``.  A short final record (the writer
+    died mid-append, so the chunk was never acknowledged) is left out.
     """
     chunks: List[bytes] = []
     if not path.exists():
@@ -243,11 +244,27 @@ def _read_spool(path: Path) -> List[bytes]:
     data = path.read_bytes()
     pos = 0
     while pos + 4 <= len(data):
-        size = int.from_bytes(data[pos : pos + 4], "little")
-        pos += 4
-        chunks.append(data[pos : pos + size])
-        pos += size
+        end = pos + 4 + int.from_bytes(data[pos : pos + 4], "little")
+        if end > len(data):
+            break
+        chunks.append(data[pos + 4 : end])
+        pos = end
     return chunks
+
+
+def _trim_spool(path: Path) -> int:
+    """Cut a torn final record off a spool; returns the whole-record size.
+
+    Adoption runs this before any new append, so a chunk appended after
+    a restart lands right behind the last whole record.
+    """
+    if not path.exists():
+        return 0
+    size = sum(4 + len(chunk) for chunk in _read_spool(path))
+    if size < path.stat().st_size:
+        with open(path, "r+b") as fh:
+            fh.truncate(size)
+    return size
 
 
 class TelemetryServer:
@@ -568,7 +585,7 @@ class TelemetryServer:
             sess.site_names = {
                 int(k): v for k, v in entry.get("site_names", {}).items()
             }
-            sess.spool_bytes = spool.stat().st_size if spool.exists() else 0
+            sess.spool_bytes = _trim_spool(spool)
             replayed = self._pool.exclusive(
                 sess.shard, lambda call, sess=sess: self._replay_session(sess, call)
             )

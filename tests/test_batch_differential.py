@@ -1,7 +1,7 @@
 """Differential tests: the batched fast path vs the scalar path.
 
-``Detector.run_batch`` (and the inlined FASTTRACK/PACER batch loops) is
-pure plumbing — it must be *behavior-identical* to feeding the same
+``Detector.run_batch`` (the generic column loop, and the packed
+FASTTRACK/PACER engine kernels) is pure plumbing — it must be *behavior-identical* to feeding the same
 events through ``apply`` one at a time.  These tests pin that equivalence
 over hundreds of seeded random programs built from the micro workload
 generators: identical race reports (down to trace indices), identical
@@ -23,10 +23,13 @@ from helpers import race_sigs
 from repro.core.backend import BACKENDS
 from repro.core.pacer import PacerDetector
 from repro.detectors import (
+    DjitPlusDetector,
     EraserDetector,
     FastTrackDetector,
+    GenericDetector,
     GoldilocksDetector,
     LiteRaceDetector,
+    NullDetector,
 )
 from repro.sim.scheduler import run_program
 from repro.sim.workloads import micro
@@ -64,6 +67,9 @@ DETECTORS = [
     ("eraser", EraserDetector),
     ("literace", lambda: LiteRaceDetector(seed=99)),
     ("goldilocks", GoldilocksDetector),
+    ("djit", DjitPlusDetector),
+    ("generic", GenericDetector),
+    ("none", NullDetector),
 ]
 
 

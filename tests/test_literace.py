@@ -116,3 +116,25 @@ class TestRaceFinding:
         footprint_mid = d.footprint_words()
         d.run(hot_loop_trace(2000))
         assert d.footprint_words() >= footprint_mid
+
+
+class TestDeterminism:
+    def test_default_seed_gives_identical_analyze_reports(self, tmp_path):
+        """``repro analyze --detector literace`` builds the detector with
+        its default seed: two runs over one trace write the same bytes."""
+        import contextlib
+        import io
+
+        from repro.cli import main
+        from repro.trace.binio import dump_trace_binary
+
+        trace = tmp_path / "hot.pacr"
+        dump_trace_binary(hot_loop_trace(3000, racy_every=40), trace)
+        reports = []
+        for run in range(2):
+            out = tmp_path / f"run{run}.report.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["analyze", str(trace), "--detector", "literace",
+                             "--report-out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]

@@ -31,6 +31,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +56,7 @@ from repro.net.protocol import (
     decode_message,
     encode_message,
 )
+from repro.net.server import _read_spool
 from repro.obs import RunObserver, SyncIndex
 from repro.obs.provenance import DEFAULT_WINDOW, FlightRecorder
 from repro.obs.reports import build_report
@@ -744,3 +746,74 @@ def test_adoption_reopens_closed_session_whose_spool_grew():
     assert summary["events"] == len(EVENTS)
     assert canonical(sdoc["report"]) == canonical(off_doc)
     assert sdoc["counters"] == off_counters
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_adoption_drops_a_torn_spool_tail(backend):
+    """A spool whose last record was cut short (the process died
+    mid-append) is adopted up to its last whole record: the file is
+    truncated there, the torn chunk — never acknowledged — is resent
+    by the client, and the report stays byte-identical to offline."""
+    off_doc, off_counters = offline_report("fasttrack", backend)
+    workdir = tempfile.mkdtemp(prefix="repro-net-")
+    spool = os.path.join(workdir, "spool")
+    address = f"unix://{workdir}/t.sock"
+
+    def config():
+        return ServerConfig(
+            address=address, n_shards=2, shard_mode="inline",
+            spool_dir=spool, drain_timeout=2.0,
+        )
+
+    chunk = 37
+    first = 4 * chunk
+    # exactly one credit window: the client holds all of them unacked
+    second = first + 8 * chunk
+    server = TelemetryServer(config()).start()
+    client = TelemetryClient(
+        address, "torn", detector="fasttrack", backend=backend,
+        chunk_size=chunk,
+    )
+    client.connect()
+    client.send_events(EVENTS[:first])
+    client.drain()
+    client.send_events(EVENTS[first:second])
+    _wait_applied(server, "torn", 12)
+    assert len(client.unacked) == 8
+    client.abort()
+    assert server.drain()["drained"] == 1
+    server.stop()
+
+    (path,) = [
+        os.path.join(spool, name) for name in os.listdir(spool)
+        if name.endswith(".spool")
+    ]
+    whole = os.path.getsize(path)
+    with open(path, "r+b") as fh:
+        fh.truncate(whole - 10)  # chunk 12's record is now short
+
+    server2 = TelemetryServer(config()).start()
+    try:
+        assert server2.adopted_sessions == 1
+        trimmed = os.path.getsize(path)
+        assert trimmed < whole - 10
+        assert len(_read_spool(Path(path))) == 11
+        doc = server2.query_doc()
+        assert doc["server"]["resilience"]["spool_bytes"] == trimmed
+        (entry,) = doc["sessions"]
+        assert entry["applied_seq"] == 11
+        ack = client.reconnect()
+        assert ack.resume_seq == 11
+        client.send_events(EVENTS[second:])
+        summary = client.close()
+        sdoc = server2.session_doc("torn")
+    finally:
+        server2.stop()
+    assert summary["events"] == len(EVENTS)
+    assert summary["chunks"] == -(-len(EVENTS) // chunk)
+    assert canonical(sdoc["report"]) == canonical(off_doc)
+    assert sdoc["counters"] == off_counters
+    # new chunks were appended right behind the last whole record
+    records = _read_spool(Path(path))
+    assert len(records) == summary["chunks"]
+    assert os.path.getsize(path) == sum(4 + len(r) for r in records)
